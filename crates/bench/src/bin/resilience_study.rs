@@ -1,11 +1,14 @@
 //! resilience_study — a seeded chaos campaign against the full serving
-//! stack (resilient client → TCP server → batched engine).
+//! stack (resilient client → event-loop TCP front-end → sharded batched
+//! engine).
 //!
 //! Usage: `resilience_study [--smoke] [--json] [--threads N] [--out PATH]
 //! [--seed N] [--telemetry]`
 //!
-//! Each cell attaches one [`ChaosSession`] to both the engine (worker
-//! stalls, worker panics) and the TCP front-end (connection drops, frame
+//! Each cell serves on the shipped defaults — `ShardedEngine` with
+//! `ShardPolicy::default()` behind a `ShardedServer` with 2 IO shards —
+//! and attaches one [`ChaosSession`] to both the engine shards (worker
+//! stalls, worker panics) and the front-end (connection drops, frame
 //! truncation, reply corruption), then drives it with [`ResilientClient`]s
 //! under a fault-rate sweep. The campaign asserts, per cell:
 //!
@@ -29,7 +32,7 @@ use csp_io::write_with_history;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
     BatchPolicy, ChaosSession, Engine, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
-    Server, StatsSnapshot,
+    ShardPolicy, ShardedEngine, ShardedServer, StatsSnapshot,
 };
 use csp_sim::{FaultClass, FaultPlan};
 use csp_tensor::{CspError, CspResult, Tensor};
@@ -39,6 +42,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MODEL: &str = "basic";
+/// IO shards of the front-end (the shipped setting).
+const IO_SHARDS: usize = 2;
 /// How long a chaos-stalled worker sleeps (well below any budget).
 const STALL: Duration = Duration::from_millis(20);
 /// Per-request retry-loop budget; generous so only true exhaustion, not
@@ -160,16 +165,14 @@ fn run_cell(
         FaultPlan::bernoulli(rate, seed).with_classes(classes),
         STALL,
     ));
-    let registry = Arc::new(ModelRegistry::new());
-    registry.load_from_path(MODEL, spec, artifact)?;
-    let engine = Engine::start_with_chaos(
-        registry,
-        BatchPolicy::default(),
-        2,
+    let engine = ShardedEngine::start_with_chaos(ShardPolicy::default(), Some(Arc::clone(&chaos)))?;
+    engine.rolling_swap_from_path(MODEL, spec, artifact)?;
+    let server = ShardedServer::serve_with_chaos(
+        engine.client(),
+        "127.0.0.1:0",
+        IO_SHARDS,
         Some(Arc::clone(&chaos)),
     )?;
-    let server =
-        Server::serve_with_chaos(engine.client(), "127.0.0.1:0", Some(Arc::clone(&chaos)))?;
     let addr = server.addr();
 
     let start = Instant::now();

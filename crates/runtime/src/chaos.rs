@@ -196,8 +196,9 @@ impl RuntimeChaosSession {
     }
 }
 
-/// The standard splitmix64 finalizer (public-domain constants), also used
-/// by csp-serve's retry jitter.
+/// The standard splitmix64 finalizer (public-domain constants). A private
+/// copy of `csp_sim::fault::splitmix64` (same constants), because this
+/// crate cannot depend on csp-sim.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -620,27 +620,11 @@ impl Client {
         self.shared.stats.snapshot(model)
     }
 
-    /// One merged telemetry snapshot — the same view
-    /// [`Engine::telemetry_snapshot`] gives, reachable from any handle
-    /// (the TCP front-end answers `REQ_TELEMETRY` with this).
-    pub fn telemetry_snapshot(&self) -> csp_telemetry::Snapshot {
-        self.shared
-            .stats
-            .telemetry_snapshot()
-            .merged(&csp_telemetry::global_snapshot())
-    }
-
-    /// Record one injected wire-level fault (the TCP front-end calls
-    /// this when its chaos session fires).
-    pub(crate) fn record_chaos(&self, name: &str) {
-        self.shared.stats.record_chaos(name);
-    }
-
     /// This engine's serving counters alone, **without** the process-global
     /// registry merged in. The sharded tier folds one of these per shard
     /// and merges the global registry exactly once — merging
-    /// [`telemetry_snapshot`](Client::telemetry_snapshot)s instead would
-    /// multiply every global counter by the shard count.
+    /// [`Engine::telemetry_snapshot`]s instead would multiply every
+    /// global counter by the shard count.
     pub(crate) fn stats_telemetry(&self) -> csp_telemetry::Snapshot {
         self.shared.stats.telemetry_snapshot()
     }
@@ -938,7 +922,7 @@ mod tests {
         assert_eq!(stats.completed, 1, "the retry must not re-execute");
         assert_eq!(stats.admitted, 1, "the retry must not re-admit");
         assert_eq!(
-            client.telemetry_snapshot().counter("serve.dedup_hits", "m"),
+            engine.telemetry_snapshot().counter("serve.dedup_hits", "m"),
             1
         );
         // A different id under the same token does execute.

@@ -11,18 +11,17 @@
 //!   shedding ([`csp_tensor::CspError::Overloaded`]);
 //! * [`engine`] runs the worker pool; a batch of `N` requests is
 //!   byte-identical to `N` serial single-request calls;
-//! * [`protocol`] + [`server`] speak a length-prefixed binary protocol
-//!   over `std::net::TcpListener`, reusing `csp_io::wire`;
+//! * [`protocol`] is the length-prefixed binary wire protocol, reusing
+//!   `csp_io::wire`;
 //! * [`shard`] scales the engine out: N engine shards behind a
 //!   consistent-hash router on `(model, token)`, with rolling
 //!   shard-by-shard hot-swap and shard-count-invariant merged stats;
-//! * [`net`] is the nonblocking front-end — acceptor/IO shards
-//!   hand-polling nonblocking sockets, so thousands of connections share
-//!   a few event-loop threads instead of a thread each (v1/v2 clients
-//!   work unchanged);
+//! * [`net`] is the TCP front-end — acceptor/IO shards hand-polling
+//!   nonblocking sockets, so thousands of connections share a few
+//!   event-loop threads;
 //! * [`stats`] keeps per-model rolling QPS, latency percentiles, and the
 //!   executed batch-size histogram;
-//! * [`retry`] is the resilient client — deterministic seeded backoff,
+//! * [`retry`] is the TCP client — deterministic seeded backoff,
 //!   reconnect-and-retry, and idempotent request keys so a retry after a
 //!   lost reply never double-executes;
 //! * [`chaos`] injects seeded serving-tier faults (connection drops,
@@ -57,7 +56,6 @@ pub mod net;
 pub mod protocol;
 pub mod registry;
 pub mod retry;
-pub mod server;
 pub mod shard;
 pub mod stats;
 pub mod testutil;
@@ -70,6 +68,5 @@ pub use net::ShardedServer;
 pub use protocol::{HealthReport, HealthState};
 pub use registry::{LoadedModel, ModelRegistry, ModelSpec};
 pub use retry::{ResilientClient, RetryPolicy};
-pub use server::{Server, TcpClient};
 pub use shard::{RollingSwap, ShardClient, ShardPolicy, ShardedEngine};
 pub use stats::{histogram_quantile, Stats, StatsSnapshot};

@@ -6,26 +6,7 @@
 //! the artifact containers use, so a truncated or corrupted frame is
 //! always a typed [`CspError::Corrupt`], never a panic or silent garbage.
 //!
-//! ## Inference request payload ([`REQ_INFER`])
-//!
-//! | field        | encoding                    |
-//! |--------------|-----------------------------|
-//! | opcode       | `u8` = [`REQ_INFER`]        |
-//! | request id   | `u64` (echoed in the reply) |
-//! | model name   | length-prefixed UTF-8       |
-//! | deadline µs  | `u64`, `0` = no deadline    |
-//! | input        | tensor (dims + f32 data)    |
-//!
-//! ## Inference response payload
-//!
-//! | field       | encoding                                        |
-//! |-------------|-------------------------------------------------|
-//! | status      | `u8` ([`STATUS_OK`] … [`STATUS_INTERNAL`])      |
-//! | request id  | `u64`                                           |
-//! | if OK       | `u64` model version, `u32` batch size, tensor   |
-//! | otherwise   | length-prefixed UTF-8 error message             |
-//!
-//! ## v2 inference request payload ([`REQ_INFER_V2`])
+//! ## Inference request payload ([`REQ_INFER_V2`])
 //!
 //! | field        | encoding                                  |
 //! |--------------|-------------------------------------------|
@@ -37,10 +18,24 @@
 //! | deadline µs  | `u64` **remaining** budget, `0` = none    |
 //! | input        | tensor (dims + f32 data)                  |
 //!
-//! The v2 response is the v1 response payload followed by a little-endian
-//! CRC-32 of it, so a corrupted reply is a typed transport error the
-//! client can retry — never silently wrong logits. Old servers reject the
-//! unknown opcode with a typed error; old clients never see v2 frames.
+//! Opcode 1 (the retired v1 infer frame, without token, attempt or reply
+//! CRC) is an unknown opcode: the server answers with a typed `Corrupt`
+//! (id 0) and closes the connection.
+//!
+//! ## Inference response payload
+//!
+//! | field       | encoding                                        |
+//! |-------------|-------------------------------------------------|
+//! | status      | `u8` ([`STATUS_OK`] … [`STATUS_DRAINING`])      |
+//! | request id  | `u64`                                           |
+//! | if OK       | `u64` model version, `u32` batch size, tensor   |
+//! | otherwise   | length-prefixed UTF-8 error message             |
+//! | CRC-32      | `u32` LE over all of the above                  |
+//!
+//! The CRC trailer makes a corrupted reply a typed transport error the
+//! client can retry — never silently wrong logits. Replies to frames the
+//! server cannot decode, and drain force-close goodbyes, are the body
+//! alone: the server cannot know which request they answer.
 //!
 //! ## Health request/response ([`REQ_HEALTH`])
 //!
@@ -66,17 +61,14 @@ use std::io::{Read, Write};
 /// malicious or corrupted length prefix cannot trigger a huge allocation.
 pub const MAX_FRAME: usize = 1 << 24;
 
-/// Request opcode: run one inference.
-pub const REQ_INFER: u8 = 1;
-
 /// Request opcode: fetch the engine's telemetry snapshot.
 pub const REQ_TELEMETRY: u8 = 2;
 
 /// Request opcode: fetch the engine's health report.
 pub const REQ_HEALTH: u8 = 3;
 
-/// Request opcode: run one inference, v2 framing — adds the client's
-/// idempotency token, the attempt counter, and a CRC-protected response.
+/// Request opcode: run one inference (v2 framing: the client's
+/// idempotency token, the attempt counter, and a CRC-protected response).
 pub const REQ_INFER_V2: u8 = 4;
 
 /// Response status: success.
@@ -97,57 +89,6 @@ pub const STATUS_DRAINING: u8 = 6;
 
 /// Highest status a decoder accepts; anything above is frame corruption.
 const STATUS_MAX: u8 = STATUS_DRAINING;
-
-/// One decoded inference request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Request {
-    /// Client-chosen id, echoed verbatim in the response.
-    pub id: u64,
-    /// Target model name.
-    pub model: String,
-    /// Per-request deadline in microseconds from arrival (`0` = none).
-    pub deadline_us: u64,
-    /// The input sample.
-    pub input: Tensor,
-}
-
-impl Request {
-    /// Encode this request as a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(REQ_INFER);
-        w.put_u64(self.id);
-        w.put_str(&self.model);
-        w.put_u64(self.deadline_us);
-        w.put_tensor(&self.input);
-        w.into_bytes()
-    }
-
-    /// Decode a frame payload as a request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CspError::Corrupt`] for an unknown opcode, truncation, or
-    /// trailing bytes.
-    pub fn decode(payload: &[u8]) -> CspResult<Request> {
-        let mut r = Reader::new(payload, "serve-request");
-        let op = r.u8()?;
-        if op != REQ_INFER {
-            return Err(r.corrupt(format!("unknown request opcode {op}")));
-        }
-        let id = r.u64()?;
-        let model = r.str()?;
-        let deadline_us = r.u64()?;
-        let input = r.tensor()?;
-        r.expect_empty()?;
-        Ok(Request {
-            id,
-            model,
-            deadline_us,
-            input,
-        })
-    }
-}
 
 /// One decoded inference response.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,7 +145,9 @@ fn error_of(status: u8, message: String) -> CspError {
 }
 
 impl Response {
-    /// Encode this response as a frame payload.
+    /// Encode the response body without its CRC trailer: the part
+    /// [`encode_v2`](Response::encode_v2) checksums, and on its own the
+    /// reply to a frame the server could not decode.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match &self.result {
@@ -226,7 +169,7 @@ impl Response {
         w.into_bytes()
     }
 
-    /// Decode a frame payload as a response.
+    /// Decode a response body (no CRC trailer).
     ///
     /// # Errors
     ///
@@ -255,8 +198,9 @@ impl Response {
     }
 }
 
-/// One decoded v2 inference request: v1 plus the client's idempotency
-/// token and the attempt counter, answered with a CRC-protected frame.
+/// One decoded inference request: the client's idempotency token, id,
+/// attempt counter, model, deadline and input, answered with a
+/// CRC-protected frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestV2 {
     /// Idempotency token identifying the submitting client (`0` = the
@@ -323,8 +267,8 @@ impl RequestV2 {
 }
 
 impl Response {
-    /// Encode this response in v2 framing: the v1 payload followed by a
-    /// little-endian CRC-32 of it. A bit flipped anywhere in transit is a
+    /// Encode this response as an inference reply payload: the body
+    /// followed by a little-endian CRC-32 of it. A bit flipped anywhere in transit is a
     /// typed [`CspError::Corrupt`] on decode — never silently wrong
     /// logits — which is what lets a retrying client preserve
     /// delivered-reply bit-identity under reply corruption.
@@ -335,11 +279,11 @@ impl Response {
         bytes
     }
 
-    /// Decode a v2 (CRC-suffixed) frame payload.
+    /// Decode an inference reply payload (CRC-suffixed body).
     ///
     /// # Errors
     ///
-    /// Returns [`CspError::Corrupt`] on CRC mismatch or any v1 decode
+    /// Returns [`CspError::Corrupt`] on CRC mismatch or any body decode
     /// failure.
     pub fn decode_v2(payload: &[u8]) -> CspResult<Response> {
         if payload.len() < 4 {
@@ -352,8 +296,8 @@ impl Response {
         let sent = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
         let computed = csp_io::crc32(body);
         if sent != computed {
-            // Drain force-closes are written in v1 framing (the shutdown
-            // path cannot know the stream's protocol version), so a
+            // Drain force-closes are a bare body (the shutdown path does
+            // not know which request, if any, is outstanding), so a
             // cleanly-decoding DRAINING payload is accepted without a CRC.
             if payload.first() == Some(&STATUS_DRAINING) {
                 if let Ok(resp) = Response::decode(payload) {
@@ -620,9 +564,7 @@ impl TelemetryResponse {
 /// Any request the server accepts, dispatched on the opcode byte.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnyRequest {
-    /// [`REQ_INFER`]: run one inference (legacy v1 framing).
-    Infer(Request),
-    /// [`REQ_INFER_V2`]: run one inference with idempotency metadata.
+    /// [`REQ_INFER_V2`]: run one inference.
     InferV2(RequestV2),
     /// [`REQ_TELEMETRY`]: fetch the engine's telemetry snapshot.
     Telemetry(TelemetryRequest),
@@ -632,17 +574,14 @@ pub enum AnyRequest {
 
 impl AnyRequest {
     /// Decode a frame payload into whichever request its opcode names.
-    /// Legacy v1 infer frames decode unchanged — a v1 client keeps
-    /// working against a v2 server.
     ///
     /// # Errors
     ///
-    /// Returns [`CspError::Corrupt`] for an unknown opcode or a malformed
-    /// body.
+    /// Returns [`CspError::Corrupt`] for an unknown opcode (including the
+    /// retired v1 infer opcode 1) or a malformed body.
     pub fn decode(payload: &[u8]) -> CspResult<AnyRequest> {
         let probe = Reader::new(payload, "serve-request");
         match payload.first() {
-            Some(&REQ_INFER) => Ok(AnyRequest::Infer(Request::decode(payload)?)),
             Some(&REQ_INFER_V2) => Ok(AnyRequest::InferV2(RequestV2::decode(payload)?)),
             Some(&REQ_TELEMETRY) => Ok(AnyRequest::Telemetry(TelemetryRequest::decode(payload)?)),
             Some(&REQ_HEALTH) => Ok(AnyRequest::Health(HealthRequest::decode(payload)?)),
@@ -655,8 +594,8 @@ impl AnyRequest {
 /// The payload a server writes when force-closing a connection at its
 /// drain deadline: a [`STATUS_DRAINING`] response with id 0 (the server
 /// does not know which request, if any, the client is waiting on). Both
-/// [`Response::decode`] and [`Response::decode_v2`] (the frame carries no
-/// CRC, so only v1 decode accepts it) surface it as a typed
+/// [`Response::decode`] and [`Response::decode_v2`] (which accepts this
+/// one status without a CRC) surface it as a typed
 /// [`CspError::Overloaded`].
 pub fn draining_payload(what: &str) -> Vec<u8> {
     let mut w = Writer::new();
@@ -666,6 +605,14 @@ pub fn draining_payload(what: &str) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// A socket-level transport error.
+pub(crate) fn sock_err(what: String) -> CspError {
+    CspError::Io {
+        path: "serve-socket".to_string(),
+        what,
+    }
+}
+
 /// Write one length-prefixed frame to `w`.
 ///
 /// # Errors
@@ -673,12 +620,8 @@ pub fn draining_payload(what: &str) -> Vec<u8> {
 /// Returns [`CspError::Io`] when the payload exceeds [`MAX_FRAME`] or the
 /// underlying write fails.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> CspResult<()> {
-    let io_err = |what: String| CspError::Io {
-        path: "serve-socket".to_string(),
-        what,
-    };
     if payload.len() > MAX_FRAME {
-        return Err(io_err(format!(
+        return Err(sock_err(format!(
             "frame of {} bytes exceeds MAX_FRAME ({MAX_FRAME})",
             payload.len()
         )));
@@ -686,7 +629,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> CspResult<()> {
     w.write_all(&(payload.len() as u32).to_le_bytes())
         .and_then(|()| w.write_all(payload))
         .and_then(|()| w.flush())
-        .map_err(|e| io_err(format!("frame write failed: {e}")))
+        .map_err(|e| sock_err(format!("frame write failed: {e}")))
 }
 
 /// Read one length-prefixed frame from `r`. Returns `Ok(None)` on a clean
@@ -702,19 +645,9 @@ pub fn read_frame(r: &mut impl Read) -> CspResult<Option<Vec<u8>>> {
     while got < 4 {
         match r.read(&mut len_buf[got..]) {
             Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(CspError::Io {
-                    path: "serve-socket".to_string(),
-                    what: "EOF inside a frame length prefix".to_string(),
-                })
-            }
+            Ok(0) => return Err(sock_err("EOF inside a frame length prefix".to_string())),
             Ok(n) => got += n,
-            Err(e) => {
-                return Err(CspError::Io {
-                    path: "serve-socket".to_string(),
-                    what: format!("frame read failed: {e}"),
-                })
-            }
+            Err(e) => return Err(sock_err(format!("frame read failed: {e}"))),
         }
     }
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -728,19 +661,9 @@ pub fn read_frame(r: &mut impl Read) -> CspResult<Option<Vec<u8>>> {
     let mut filled = 0;
     while filled < len {
         match r.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return Err(CspError::Io {
-                    path: "serve-socket".to_string(),
-                    what: format!("EOF after {filled} of {len} frame bytes"),
-                })
-            }
+            Ok(0) => return Err(sock_err(format!("EOF after {filled} of {len} frame bytes"))),
             Ok(n) => filled += n,
-            Err(e) => {
-                return Err(CspError::Io {
-                    path: "serve-socket".to_string(),
-                    what: format!("frame read failed: {e}"),
-                })
-            }
+            Err(e) => return Err(sock_err(format!("frame read failed: {e}"))),
         }
     }
     Ok(Some(payload))
@@ -750,15 +673,28 @@ pub fn read_frame(r: &mut impl Read) -> CspResult<Option<Vec<u8>>> {
 mod tests {
     use super::*;
 
+    fn request(id: u64) -> RequestV2 {
+        RequestV2 {
+            token: 0,
+            id,
+            attempt: 0,
+            model: "m".to_string(),
+            deadline_us: 0,
+            input: Tensor::zeros(&[2]),
+        }
+    }
+
     #[test]
     fn request_round_trips() {
-        let req = Request {
-            id: 42,
-            model: "alexnet".to_string(),
-            deadline_us: 1500,
-            input: Tensor::from_vec(vec![1.0, -2.0, 3.5, 0.0], &[1, 2, 2]).unwrap(),
-        };
-        assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        for (token, attempt, deadline_us) in [(0, 0, 0), (1, 7, 1500), (u64::MAX, u32::MAX, 1)] {
+            let req = RequestV2 {
+                token,
+                attempt,
+                deadline_us,
+                ..request(42)
+            };
+            assert_eq!(RequestV2::decode(&req.encode()).unwrap(), req);
+        }
     }
 
     #[test]
@@ -814,25 +750,20 @@ mod tests {
     #[test]
     fn corrupt_payloads_are_typed() {
         assert!(matches!(
-            Request::decode(&[9, 0, 0]),
+            RequestV2::decode(&[9, 0, 0]),
             Err(CspError::Corrupt { .. })
         ));
-        let req = Request {
-            id: 1,
-            model: "m".to_string(),
-            deadline_us: 0,
-            input: Tensor::zeros(&[2]),
-        };
+        let req = request(1);
         let mut bytes = req.encode();
         bytes.truncate(bytes.len() - 1);
         assert!(matches!(
-            Request::decode(&bytes),
+            RequestV2::decode(&bytes),
             Err(CspError::Corrupt { .. })
         ));
         bytes = req.encode();
         bytes.push(0xFF); // trailing garbage
         assert!(matches!(
-            Request::decode(&bytes),
+            RequestV2::decode(&bytes),
             Err(CspError::Corrupt { .. })
         ));
     }
@@ -854,15 +785,7 @@ mod tests {
 
         // Wrong opcode, truncation, trailing bytes: all typed Corrupt.
         assert!(matches!(
-            TelemetryRequest::decode(
-                &Request {
-                    id: 1,
-                    model: "m".to_string(),
-                    deadline_us: 0,
-                    input: Tensor::zeros(&[1]),
-                }
-                .encode()
-            ),
+            TelemetryRequest::decode(&request(1).encode()),
             Err(CspError::Corrupt { .. })
         ));
         let bytes = req.encode();
@@ -933,16 +856,13 @@ mod tests {
 
     #[test]
     fn any_request_dispatches_on_opcode() {
-        let infer = Request {
-            id: 3,
-            model: "vgg".to_string(),
-            deadline_us: 0,
-            input: Tensor::zeros(&[2]),
-        };
-        assert_eq!(
-            AnyRequest::decode(&infer.encode()).unwrap(),
-            AnyRequest::Infer(infer)
-        );
+        // The retired v1 infer opcode is an unknown opcode.
+        let mut v1 = request(3).encode();
+        v1[0] = 1;
+        assert!(matches!(
+            AnyRequest::decode(&v1),
+            Err(CspError::Corrupt { .. })
+        ));
         let telem = TelemetryRequest { id: 4 };
         assert_eq!(
             AnyRequest::decode(&telem.encode()).unwrap(),

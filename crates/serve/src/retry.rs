@@ -1,4 +1,4 @@
-//! A resilient TCP client: seeded exponential backoff with jitter,
+//! The TCP client: seeded exponential backoff with jitter,
 //! reconnect-and-retry on transport errors, and idempotent request ids.
 //!
 //! ## Retry semantics
@@ -23,6 +23,11 @@
 //! What is not: [`CspError::Expired`] (a new attempt has no budget
 //! either) and [`CspError::Config`] (the request itself is wrong).
 //!
+//! A policy with `max_attempts == 1` is a plain one-shot client: the
+//! attempt's own typed error is returned as is, and the request carries
+//! token 0 — with no retry there is nothing to deduplicate, so it skips
+//! the reply cache and spreads round-robin over the engine shards.
+//!
 //! ## Determinism
 //!
 //! [`RetryPolicy::backoff`] is a pure function of `(seed, attempt)` —
@@ -30,11 +35,14 @@
 //! seed.
 
 use crate::batch::InferReply;
-use crate::protocol::HealthReport;
-use crate::server::TcpClient;
+use crate::protocol::{
+    read_frame, sock_err, write_frame, HealthReport, HealthRequest, HealthResponse, RequestV2,
+    Response, TelemetryRequest, TelemetryResponse,
+};
 use csp_sim::fault::splitmix64;
+use csp_telemetry::Snapshot;
 use csp_tensor::{CspError, CspResult, Tensor};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Backoff-and-retry policy for [`ResilientClient`].
@@ -85,13 +93,25 @@ fn is_retryable(err: &CspError) -> bool {
     is_transport(err) || matches!(err, CspError::Overloaded { .. } | CspError::Internal { .. })
 }
 
+fn open(addr: &SocketAddr) -> CspResult<TcpStream> {
+    let stream =
+        TcpStream::connect(addr).map_err(|e| sock_err(format!("connect {addr} failed: {e}")))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| sock_err(format!("set_nodelay failed: {e}")))?;
+    Ok(stream)
+}
+
+/// A reply decoder: the echoed request id and the server's verdict.
+type Decoded<T> = CspResult<(u64, CspResult<T>)>;
+
 /// A TCP client that survives transport faults: reconnects, backs off
 /// deterministically, and retries with idempotent request ids.
 #[derive(Debug)]
 pub struct ResilientClient {
     addr: SocketAddr,
     policy: RetryPolicy,
-    conn: Option<TcpClient>,
+    conn: Option<TcpStream>,
     token: u64,
     next_id: u64,
     retries: u64,
@@ -112,22 +132,16 @@ impl ResilientClient {
                 what: "max_attempts must be at least 1".to_string(),
             });
         }
-        let conn = TcpClient::connect(addr)?;
         Ok(ResilientClient {
             addr: *addr,
             policy,
-            conn: Some(conn),
+            conn: Some(open(addr)?),
             // Never zero: zero disables server-side dedup.
             token: splitmix64(policy.seed ^ 0x5E12_F00D_BAAD_CAFE) | 1,
             next_id: 1,
             retries: 0,
             reconnects: 0,
         })
-    }
-
-    /// This client's idempotency token.
-    pub fn token(&self) -> u64 {
-        self.token
     }
 
     /// Transport-level retries performed so far.
@@ -140,13 +154,67 @@ impl ResilientClient {
         self.reconnects
     }
 
-    fn conn(&mut self) -> CspResult<&mut TcpClient> {
+    fn conn(&mut self) -> CspResult<&mut TcpStream> {
         if self.conn.is_none() {
-            self.conn = Some(TcpClient::connect(&self.addr)?);
+            self.conn = Some(open(&self.addr)?);
             self.reconnects += 1;
             csp_telemetry::counter_add(csp_telemetry::names::SERVE_CLIENT_RECONNECTS, "", 1);
         }
         Ok(self.conn.as_mut().expect("just connected"))
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// Send `request` and decode its reply, checking the echoed id (`0`
+    /// is the server's "id unknown" for frame-level errors). A transport
+    /// error drops the connection: the stream may be desynchronized.
+    fn round_trip<T>(
+        &mut self,
+        id: u64,
+        request: &[u8],
+        decode: impl Fn(&[u8]) -> Decoded<T>,
+    ) -> CspResult<T> {
+        let result = self
+            .conn()
+            .and_then(|stream| {
+                write_frame(stream, request)?;
+                read_frame(stream)?.ok_or_else(|| {
+                    sock_err("server closed the connection before responding".to_string())
+                })
+            })
+            .and_then(|bytes| {
+                let (got, result) = decode(&bytes)?;
+                if got != id && got != 0 {
+                    return Err(CspError::Corrupt {
+                        artifact: "serve-response".to_string(),
+                        what: format!("response id {got} does not match request id {id}"),
+                    });
+                }
+                result
+            });
+        if matches!(&result, Err(e) if is_transport(e)) {
+            self.conn = None;
+        }
+        result
+    }
+
+    /// One request/reply exchange that reconnects and resends once on a
+    /// transport error.
+    fn reconnect_once<T>(
+        &mut self,
+        encode: impl Fn(u64) -> Vec<u8>,
+        decode: impl Fn(&[u8]) -> Decoded<T>,
+    ) -> CspResult<T> {
+        let id = self.fresh_id();
+        let request = encode(id);
+        match self.round_trip(id, &request, &decode) {
+            Err(e) if is_transport(&e) => self.round_trip(id, &request, &decode),
+            other => other,
+        }
     }
 
     /// Run one inference, retrying per the policy. `budget` (if given)
@@ -158,15 +226,23 @@ impl ResilientClient {
     ///
     /// The final typed error once retries are exhausted:
     /// [`CspError::Expired`] when attempts ran out on retryable errors or
-    /// the budget lapsed, or the non-retryable error itself.
+    /// the budget lapsed, or the non-retryable error itself. With
+    /// `max_attempts == 1`, the single attempt's own error.
     pub fn infer(
         &mut self,
         model: &str,
         input: &Tensor,
         budget: Option<Duration>,
     ) -> CspResult<InferReply> {
-        let id = self.next_id;
-        self.next_id += 1;
+        let one_shot = self.policy.max_attempts == 1;
+        let mut req = RequestV2 {
+            token: if one_shot { 0 } else { self.token },
+            id: self.fresh_id(),
+            attempt: 0,
+            model: model.to_string(),
+            deadline_us: 0,
+            input: input.clone(),
+        };
         let deadline = budget.map(|b| Instant::now() + b);
         let mut last_err: Option<CspError> = None;
         for attempt in 0..self.policy.max_attempts {
@@ -186,27 +262,17 @@ impl ResilientClient {
                 self.retries += 1;
                 csp_telemetry::counter_add(csp_telemetry::names::SERVE_CLIENT_RETRIES, model, 1);
             }
-            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            let token = self.token;
-            let conn = match self.conn() {
-                Ok(c) => c,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            match conn.infer_v2(model, input, remaining, token, id, attempt) {
+            req.attempt = attempt;
+            req.deadline_us = deadline.map_or(0, |d| {
+                d.saturating_duration_since(Instant::now()).as_micros() as u64
+            });
+            let result = self.round_trip(req.id, &req.encode(), |b| {
+                Response::decode_v2(b).map(|r| (r.id, r.result))
+            });
+            match result {
                 Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    if is_transport(&e) {
-                        // The stream may be desynchronized; never reuse it.
-                        self.conn = None;
-                    }
-                    if !is_retryable(&e) {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                }
+                Err(e) if one_shot || !is_retryable(&e) => return Err(e),
+                Err(e) => last_err = Some(e),
             }
         }
         Err(CspError::Expired {
@@ -223,28 +289,37 @@ impl ResilientClient {
     ///
     /// # Errors
     ///
-    /// The server's typed error, or [`CspError::Io`] when both the
-    /// connection and one reconnect attempt fail.
+    /// The server's typed error, or [`CspError::Io`] /
+    /// [`CspError::Corrupt`] when the exchange fails on the connection
+    /// and again after one reconnect.
     pub fn health(&mut self) -> CspResult<HealthReport> {
-        for _ in 0..2 {
-            match self.conn().and_then(|c| c.health()) {
-                Ok(report) => return Ok(report),
-                Err(e) if is_transport(&e) => {
-                    self.conn = None;
-                    if self.conn().is_err() {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.conn()?.health()
+        self.reconnect_once(
+            |id| HealthRequest { id }.encode(),
+            |b| HealthResponse::decode(b).map(|r| (r.id, r.result)),
+        )
+    }
+
+    /// Fetch the server's merged telemetry snapshot (serving counters plus
+    /// the remote process's global kernel/runtime/accelerator metrics),
+    /// reconnecting once on a transport error.
+    ///
+    /// # Errors
+    ///
+    /// As [`health`](ResilientClient::health) — including a snapshot blob
+    /// failing its CRC or version check.
+    pub fn telemetry(&mut self) -> CspResult<Snapshot> {
+        self.reconnect_once(
+            |id| TelemetryRequest { id }.encode(),
+            |b| TelemetryResponse::decode(b).map(|r| (r.id, r.result)),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{sample_input, serve_sharded};
+    use csp_sim::{FaultClass, FaultPlan};
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
@@ -270,5 +345,48 @@ mod tests {
             a,
             "different seed, different jitter"
         );
+    }
+
+    #[test]
+    fn one_shot_client_returns_the_attempts_own_error() {
+        let (engine, server, spec) = serve_sharded(Some(
+            FaultPlan::bernoulli(1.0, 3).with_classes(&[FaultClass::WorkerPanic]),
+        ));
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let mut client = ResilientClient::connect(&server.addr(), policy).unwrap();
+        let x = sample_input(spec, 11, 1);
+        for _ in 0..32 {
+            assert!(matches!(
+                client.infer("m", &x, None),
+                Err(CspError::Internal { .. })
+            ));
+        }
+        assert_eq!(client.retries(), 0);
+        // Token 0 spreads round-robin instead of pinning one shard.
+        let tel = engine.telemetry_snapshot();
+        assert!((0..2).all(|s| tel.counter("serve.shard.requests", &format!("s{s}")) > 0));
+        server.shutdown(Duration::from_secs(5)).unwrap();
+        engine.shutdown().unwrap();
+    }
+
+    #[test]
+    fn health_reconnects_exactly_once() {
+        let (engine, server, _) = serve_sharded(Some(
+            FaultPlan::bernoulli(1.0, 4).with_classes(&[FaultClass::ConnDrop]),
+        ));
+        let mut client = ResilientClient::connect(&server.addr(), RetryPolicy::default()).unwrap();
+        assert!(matches!(client.health(), Err(CspError::Io { .. })));
+        assert_eq!(client.reconnects(), 1);
+        assert!(matches!(client.telemetry(), Err(CspError::Io { .. })));
+        assert_eq!(
+            client.reconnects(),
+            3,
+            "telemetry shares the reconnect-once path"
+        );
+        server.shutdown(Duration::from_secs(5)).unwrap();
+        engine.shutdown().unwrap();
     }
 }

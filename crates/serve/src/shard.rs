@@ -42,6 +42,9 @@ use crate::engine::{Client, Engine, PendingReply};
 use crate::protocol::{HealthReport, HealthState};
 use crate::registry::{LoadedModel, ModelRegistry, ModelSpec};
 use crate::stats::StatsSnapshot;
+// The same finalizer the retry backoff uses; enough avalanche to spread
+// ring keys uniformly.
+use csp_sim::fault::splitmix64;
 use csp_telemetry::{names, Registry, Snapshot};
 use csp_tensor::{CspError, CspResult, Tensor};
 use std::path::Path;
@@ -110,15 +113,6 @@ pub struct RollingSwap {
     /// Shards that recovered from the `.prev` generation because the
     /// primary artifact was unusable (path-loading variant only).
     pub recovered: Vec<usize>,
-}
-
-/// `splitmix64` mix — the same finalizer the retry backoff uses; enough
-/// avalanche to spread ring keys uniformly.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// FNV-1a over the model name: stable, allocation-free string hashing so
@@ -319,11 +313,6 @@ impl ShardClient {
     /// the process-global registry.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         self.set.telemetry_snapshot()
-    }
-
-    /// Number of engine shards behind this handle.
-    pub fn shard_count(&self) -> usize {
-        self.set.clients.len()
     }
 
     /// Record one injected wire-level fault (the sharded front-end calls
@@ -578,6 +567,21 @@ mod tests {
             seen.insert(a);
         }
         assert_eq!(seen.len(), 4, "256 keys must touch every one of 4 shards");
+    }
+
+    #[test]
+    fn ring_placement_is_pinned() {
+        // Computed independently of this crate; a changed hash or ring
+        // layout would move live keys to other shards.
+        let ring = Ring::new(4, 32);
+        let got: Vec<usize> = (100..112u64).map(|t| ring.route(splitmix64(t))).collect();
+        assert_eq!(got, [2, 0, 3, 0, 3, 0, 2, 2, 1, 3, 2, 2]);
+        assert_eq!(ring.route(0), 2);
+        assert_eq!(
+            ring.route(u64::MAX),
+            2,
+            "keys past the last point wrap around"
+        );
     }
 
     #[test]

@@ -43,6 +43,36 @@ pub fn sample_input(spec: ModelSpec, seed: u64, n: usize) -> Tensor {
     Tensor::from_vec(data, &[n, c, h, w]).expect("shape matches data")
 }
 
+/// Model `"m"` (the default spec) on two engine shards behind a two-IO-shard
+/// event loop, both wearing one seeded chaos session when `plan` is given.
+#[cfg(test)]
+pub(crate) fn serve_sharded(
+    plan: Option<csp_sim::FaultPlan>,
+) -> (crate::ShardedEngine, crate::ShardedServer, ModelSpec) {
+    use crate::{BatchPolicy, ChaosSession, ShardPolicy, ShardedEngine, ShardedServer};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let chaos = plan.map(|p| Arc::new(ChaosSession::new(p, Duration::ZERO)));
+    let policy = ShardPolicy {
+        shards: 2,
+        workers: 1,
+        batch: BatchPolicy {
+            max_batch: 4,
+            max_wait: Duration::from_millis(1),
+            queue_cap: 64,
+        },
+        replicas: 16,
+    };
+    let engine = ShardedEngine::start_with_chaos(policy, chaos.clone()).unwrap();
+    let spec = ModelSpec::default();
+    engine
+        .deploy("m", spec, &prune_to_artifact(spec, 0.8))
+        .unwrap();
+    let server = ShardedServer::serve_with_chaos(engine.client(), "127.0.0.1:0", 2, chaos).unwrap();
+    (engine, server, spec)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

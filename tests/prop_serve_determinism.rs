@@ -11,8 +11,8 @@
 use csp_runtime::with_threads;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, Server, ShardPolicy, ShardedEngine,
-    TcpClient,
+    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
+    ShardPolicy, ShardedEngine, ShardedServer,
 };
 use csp_tensor::Tensor;
 use proptest::prelude::*;
@@ -319,22 +319,26 @@ fn weaved_execution_serves_bit_identical_over_tcp() {
             assert_eq!(own_ref, dense_ref, "weaved serial != dense serial");
         }
 
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .load_from_bytes("m", spec, &artifact)
-            .expect("load sparse model");
-        let engine = Engine::start(
-            registry,
-            BatchPolicy {
+        let engine = ShardedEngine::start(ShardPolicy {
+            shards: 1,
+            workers: 2,
+            batch: BatchPolicy {
                 max_batch: 8,
                 max_wait: Duration::from_millis(10),
                 queue_cap: 64,
             },
-            2,
-        )
+            ..ShardPolicy::default()
+        })
         .expect("engine");
-        let server = Server::serve(engine.client(), "127.0.0.1:0").expect("server");
+        engine
+            .deploy("m", spec, &artifact)
+            .expect("load sparse model");
+        let server = ShardedServer::serve(engine.client(), "127.0.0.1:0", 2).expect("server");
         let addr = server.addr();
+        let one_shot = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
 
         // Concurrent TCP clients so the batcher actually coalesces.
         let handles: Vec<_> = samples
@@ -342,7 +346,7 @@ fn weaved_execution_serves_bit_identical_over_tcp() {
             .cloned()
             .map(|s| {
                 std::thread::spawn(move || {
-                    let mut tcp = TcpClient::connect(&addr).expect("connect");
+                    let mut tcp = ResilientClient::connect(&addr, one_shot).expect("connect");
                     tcp.infer("m", &s, None).expect("tcp infer")
                 })
             })
@@ -359,8 +363,9 @@ fn weaved_execution_serves_bit_identical_over_tcp() {
         }
 
         // The wire telemetry op reports which backend answered.
-        let mut tcp = TcpClient::connect(&addr).expect("connect");
+        let mut tcp = ResilientClient::connect(&addr, one_shot).expect("connect");
         let snap = tcp.telemetry().expect("telemetry");
+        drop(tcp);
         assert!(
             snap.counter("serve.execution.batches", execution.name()) > 0,
             "telemetry missing serve.execution.batches[{execution}]"

@@ -1,23 +1,24 @@
 //! Wire-protocol fuzz suite: arbitrary bytes, truncated frames, mutated
 //! valid frames, and oversized length prefixes fed to the server-side
 //! decoder must **never** panic or hang it — every input ends in a typed
-//! error reply or a clean connection close, for both the v1 and v2
-//! framings.
+//! error reply or a clean connection close.
 //!
 //! Two layers are fuzzed:
 //!
-//! 1. the pure decoders (`AnyRequest`, `Request`, `RequestV2`, and the
-//!    response decoders a hostile server could feed a client), which must
-//!    be total functions over `&[u8]`;
+//! 1. the pure decoders (`AnyRequest`, `RequestV2`, and the response
+//!    decoders a hostile server could feed a client), which must be total
+//!    functions over `&[u8]`;
 //! 2. a live sharded event-loop server, which must answer or close on
 //!    every hostile connection — and still serve well-formed requests
 //!    afterwards.
 
 use csp_serve::protocol::{
-    AnyRequest, HealthResponse, Request, RequestV2, Response, TelemetryResponse, MAX_FRAME,
+    AnyRequest, HealthResponse, RequestV2, Response, TelemetryResponse, MAX_FRAME,
 };
 use csp_serve::testutil::{prune_to_artifact, sample_input};
-use csp_serve::{BatchPolicy, ModelSpec, ShardPolicy, ShardedEngine, ShardedServer, TcpClient};
+use csp_serve::{
+    BatchPolicy, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine, ShardedServer,
+};
 use csp_tensor::Tensor;
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -34,18 +35,7 @@ fn request_sample(spec: ModelSpec, seed: u64) -> Tensor {
     Tensor::from_vec(x.as_slice().to_vec(), &d).expect("same length")
 }
 
-/// A valid v1 inference frame payload.
-fn valid_v1(spec: ModelSpec, id: u64) -> Vec<u8> {
-    Request {
-        id,
-        model: "m".to_string(),
-        deadline_us: 0,
-        input: request_sample(spec, id),
-    }
-    .encode()
-}
-
-/// A valid v2 inference frame payload.
+/// A valid inference frame payload.
 fn valid_v2(spec: ModelSpec, id: u64) -> Vec<u8> {
     RequestV2 {
         token: id + 1,
@@ -148,9 +138,15 @@ fn assert_well_framed(mut bytes: &[u8]) {
 /// After every hostile exchange the server must still serve a
 /// well-formed request on a fresh connection.
 fn assert_still_serving() {
-    let mut tcp = TcpClient::connect(&fuzz_server()).expect("connect after fuzz");
-    let h = tcp.health().expect("health after fuzz");
-    assert!(h.workers > 0);
+    assert!(one_shot().health().expect("health after fuzz").workers > 0);
+}
+
+fn one_shot() -> ResilientClient {
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    ResilientClient::connect(&fuzz_server(), policy).expect("connect")
 }
 
 fn frame(payload: &[u8]) -> Vec<u8> {
@@ -167,7 +163,6 @@ proptest! {
     #[test]
     fn request_decoders_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
         let _ = AnyRequest::decode(&bytes);
-        let _ = Request::decode(&bytes);
         let _ = RequestV2::decode(&bytes);
     }
 
@@ -181,16 +176,14 @@ proptest! {
         let _ = TelemetryResponse::decode(&bytes);
     }
 
-    /// Truncating a valid v1 or v2 request payload anywhere yields a
-    /// typed error from the decoder — never a panic, never an `Ok`.
+    /// Truncating a valid request payload anywhere yields a typed error
+    /// from the decoder — never a panic, never an `Ok`.
     #[test]
     fn truncated_valid_requests_decode_to_typed_errors(
         id in 0u64..50,
-        v2 in 0u8..2,
         cut_frac in 0.0f64..1.0,
     ) {
-        let spec = ModelSpec::default();
-        let payload = if v2 == 1 { valid_v2(spec, id) } else { valid_v1(spec, id) };
+        let payload = valid_v2(ModelSpec::default(), id);
         let cut = ((payload.len() as f64) * cut_frac) as usize;
         prop_assume!(cut < payload.len());
         prop_assert!(AnyRequest::decode(&payload[..cut]).is_err());
@@ -202,12 +195,10 @@ proptest! {
     #[test]
     fn mutated_valid_requests_never_panic(
         id in 0u64..50,
-        v2 in 0u8..2,
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let spec = ModelSpec::default();
-        let mut payload = if v2 == 1 { valid_v2(spec, id) } else { valid_v1(spec, id) };
+        let mut payload = valid_v2(ModelSpec::default(), id);
         let pos = ((payload.len() as f64) * pos_frac) as usize % payload.len();
         payload[pos] ^= flip;
         let _ = AnyRequest::decode(&payload);
@@ -233,16 +224,14 @@ proptest! {
         assert_still_serving();
     }
 
-    /// A truncated valid v1/v2 frame (half-closed mid-frame) must end in
-    /// a clean close — the frame never completes, so no reply is owed.
+    /// A truncated valid frame (half-closed mid-frame) must end in a
+    /// clean close — the frame never completes, so no reply is owed.
     #[test]
     fn live_server_survives_truncated_frames(
         id in 0u64..50,
-        v2 in 0u8..2,
         cut_frac in 0.0f64..1.0,
     ) {
-        let spec = ModelSpec::default();
-        let payload = if v2 == 1 { valid_v2(spec, id) } else { valid_v1(spec, id) };
+        let payload = valid_v2(ModelSpec::default(), id);
         let framed = frame(&payload);
         let cut = 1 + (((framed.len() - 1) as f64) * cut_frac) as usize;
         prop_assume!(cut < framed.len());
@@ -256,17 +245,15 @@ proptest! {
         assert_still_serving();
     }
 
-    /// A mutated (single byte flipped) valid v1/v2 frame: reply or clean
-    /// close, never a hang or panic, server stays up.
+    /// A mutated (single byte flipped) valid frame: reply or clean close,
+    /// never a hang or panic, server stays up.
     #[test]
     fn live_server_survives_mutated_frames(
         id in 0u64..50,
-        v2 in 0u8..2,
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let spec = ModelSpec::default();
-        let payload = if v2 == 1 { valid_v2(spec, id) } else { valid_v1(spec, id) };
+        let payload = valid_v2(ModelSpec::default(), id);
         let mut framed = frame(&payload);
         // Mutate the payload, not the length prefix: prefix mutations are
         // covered by the oversized/truncated cases (a bigger claimed
@@ -307,7 +294,7 @@ fn oversized_length_prefix_gets_typed_error_then_close() {
 #[test]
 fn bad_opcode_gets_typed_error_then_close() {
     for opcode in [0u8, 5, 9, 77, 255] {
-        let mut payload = valid_v1(ModelSpec::default(), 1);
+        let mut payload = valid_v2(ModelSpec::default(), 1);
         payload[0] = opcode;
         match exchange(&frame(&payload)) {
             Outcome::Closed => {}
@@ -317,14 +304,51 @@ fn bad_opcode_gets_typed_error_then_close() {
     assert_still_serving();
 }
 
-/// After all the hostility, a full inference round-trip still works on
-/// both framings — the fuzz server never degraded.
+/// A well-formed frame of the retired v1 infer request (opcode 1: id,
+/// model, deadline, input — no token, no attempt) is an unknown opcode:
+/// exactly one typed `Corrupt` reply with id 0, then a clean close, and
+/// the server keeps serving.
 #[test]
-fn fuzz_server_still_infers_on_both_framings() {
-    let spec = ModelSpec::default();
-    let x = request_sample(spec, 9);
-    let mut tcp = TcpClient::connect(&fuzz_server()).expect("connect");
-    let v1 = tcp.infer("m", &x, None).expect("v1 infer");
-    let v2 = tcp.infer_v2("m", &x, None, 42, 9000, 0).expect("v2 infer");
-    assert_eq!(v1.output, v2.output, "framings must serve identical bits");
+fn retired_v1_infer_gets_typed_corrupt_then_close() {
+    let mut w = csp_io::wire::Writer::new();
+    w.put_u8(1);
+    w.put_u64(7);
+    w.put_str("m");
+    w.put_u64(0);
+    w.put_tensor(&request_sample(ModelSpec::default(), 7));
+    match exchange(&frame(&w.into_bytes())) {
+        Outcome::Closed => panic!("server closed without the typed error reply"),
+        Outcome::Replied(reply) => {
+            let len = u32::from_le_bytes([reply[0], reply[1], reply[2], reply[3]]) as usize;
+            assert_eq!(reply.len(), 4 + len, "one reply frame, then close");
+            let resp = Response::decode(&reply[4..]).expect("typed error reply");
+            assert_eq!(resp.id, 0);
+            assert!(matches!(
+                resp.result,
+                Err(csp_tensor::CspError::Corrupt { .. })
+            ));
+        }
+    }
+    assert_still_serving();
+}
+
+/// After all the hostility, a full inference round-trip still works for
+/// a one-shot (token 0, spread over shards) and a retrying
+/// (token-pinned) client — the fuzz server never degraded.
+#[test]
+fn fuzz_server_still_infers_after_hostile_input() {
+    let x = request_sample(ModelSpec::default(), 9);
+    let spread = one_shot().infer("m", &x, None).expect("one-shot infer");
+    let policy = RetryPolicy {
+        seed: 42,
+        ..RetryPolicy::default()
+    };
+    let pinned = ResilientClient::connect(&fuzz_server(), policy)
+        .expect("connect")
+        .infer("m", &x, None)
+        .expect("retrying infer");
+    assert_eq!(
+        spread.output, pinned.output,
+        "routing must not show in the bits"
+    );
 }

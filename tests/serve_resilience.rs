@@ -3,8 +3,7 @@
 //! Four contracts:
 //!
 //! * **deadline round-trip** — a request's remaining-budget deadline
-//!   survives the wire protocol exactly, in both the v2 framing and the
-//!   legacy v1 framing (old clients keep working);
+//!   survives the wire protocol exactly;
 //! * **backoff determinism** — the resilient client's jittered
 //!   exponential backoff is a pure function of `(seed, attempt)`;
 //! * **retry never double-executes** — resending the same `(token, id)`
@@ -14,7 +13,7 @@
 //!   request gets a typed outcome and supervised restarts keep the pool
 //!   serving.
 
-use csp_serve::protocol::{AnyRequest, Request, RequestV2};
+use csp_serve::protocol::{AnyRequest, RequestV2};
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
     BatchPolicy, ChaosSession, Engine, HealthState, ModelRegistry, ModelSpec, RetryPolicy,
@@ -58,29 +57,6 @@ proptest! {
                 prop_assert_eq!(got.token, token);
                 prop_assert_eq!(got.id, id);
                 prop_assert_eq!(got.attempt, attempt);
-                prop_assert_eq!(got.deadline_us, deadline_us);
-            }
-            other => prop_assert!(false, "wrong dispatch: {other:?}"),
-        }
-    }
-
-    /// Legacy v1 frames (no token, no attempt counter) still decode, and
-    /// their deadline survives — protocol evolution never strands old
-    /// clients.
-    #[test]
-    fn legacy_v1_deadline_round_trips_through_the_protocol(
-        id in 0u64..=u64::MAX,
-        deadline_us in 0u64..=u64::MAX,
-    ) {
-        let req = Request {
-            id,
-            model: "m".to_string(),
-            deadline_us,
-            input: Tensor::zeros(&[1, 2, 2]),
-        };
-        match AnyRequest::decode(&req.encode()).expect("decode") {
-            AnyRequest::Infer(got) => {
-                prop_assert_eq!(got.id, id);
                 prop_assert_eq!(got.deadline_us, deadline_us);
             }
             other => prop_assert!(false, "wrong dispatch: {other:?}"),

@@ -16,7 +16,8 @@ use csp_io::atomic::write_with_history;
 use csp_runtime::with_threads;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, ModelRegistry, ModelSpec, ShardPolicy, ShardedEngine, ShardedServer, TcpClient,
+    BatchPolicy, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy,
+    ShardedEngine, ShardedServer,
 };
 use csp_tensor::Tensor;
 use std::time::Duration;
@@ -230,7 +231,8 @@ fn sharded_tcp_stack_is_bit_identical_at_1_2_4_shards() {
         let server = ShardedServer::serve(sharded.client(), "127.0.0.1:0", 2).expect("server");
         let addr = server.addr();
 
-        // Concurrent clients, alternating v1 and v2 framing, so requests
+        // Concurrent clients, alternating one-shot (token 0, spread
+        // round-robin) and retrying (token-pinned) policies, so requests
         // spread over shards and the batcher coalesces.
         let handles: Vec<_> = samples
             .iter()
@@ -238,13 +240,13 @@ fn sharded_tcp_stack_is_bit_identical_at_1_2_4_shards() {
             .enumerate()
             .map(|(i, s)| {
                 std::thread::spawn(move || {
-                    let mut tcp = TcpClient::connect(&addr).expect("connect");
-                    if i % 2 == 0 {
-                        tcp.infer("m", &s, None).expect("v1 infer")
-                    } else {
-                        tcp.infer_v2("m", &s, None, 1000 + i as u64, i as u64, 0)
-                            .expect("v2 infer")
-                    }
+                    let policy = RetryPolicy {
+                        max_attempts: if i % 2 == 0 { 1 } else { 4 },
+                        seed: i as u64,
+                        ..RetryPolicy::default()
+                    };
+                    let mut tcp = ResilientClient::connect(&addr, policy).expect("connect");
+                    tcp.infer("m", &s, None).expect("tcp infer")
                 })
             })
             .collect();
