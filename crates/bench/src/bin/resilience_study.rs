@@ -31,8 +31,8 @@ use csp_bench::cli::CommonCli;
 use csp_io::write_with_history;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, ChaosSession, Engine, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
-    ShardPolicy, ShardedEngine, ShardedServer, StatsSnapshot,
+    BatchPolicy, ChaosSession, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine,
+    ShardedServer, StatsSnapshot,
 };
 use csp_sim::{FaultClass, FaultPlan};
 use csp_tensor::{CspError, CspResult, Tensor};
@@ -124,17 +124,17 @@ fn reference_pool(
     artifact: &Path,
     seed: u64,
 ) -> CspResult<Vec<(Tensor, Vec<f32>)>> {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.load_from_path(MODEL, spec, artifact)?;
-    let engine = Engine::start(
-        registry,
-        BatchPolicy {
+    let engine = ShardedEngine::start(ShardPolicy {
+        shards: 1,
+        workers: 1,
+        batch: BatchPolicy {
             max_batch: 1,
             max_wait: Duration::ZERO,
             queue_cap: 64,
         },
-        1,
-    )?;
+        ..ShardPolicy::default()
+    })?;
+    engine.rolling_swap_from_path(MODEL, spec, artifact)?;
     let client = engine.client();
     let mut pool = Vec::new();
     for i in 0..8 {

@@ -4,64 +4,54 @@
 //! Usage: `serve_bench [--smoke] [--json] [--threads N] [--out PATH]
 //! [--seed N] [--shards N]`
 //!
-//! Eight phases:
+//! Five phases, the serving behaviours the `benchmark` binary's open-loop
+//! workloads do not measure:
 //!
 //! 1. **Closed loop, in-process** — sweep batch policy × concurrent
 //!    clients; each client issues its next request the moment the
 //!    previous one completes, so throughput is bounded by service time.
-//! 2. **Open loop, real TCP** — one engine shard behind the event-loop
-//!    front-end on an ephemeral loopback port; paced connections offer a
-//!    fixed load regardless of completions, the regime where admission
-//!    control starts to matter.
-//! 3. **Overload** — a tiny queue hammered by unpaced clients; the engine
+//! 2. **Overload** — a tiny queue hammered by unpaced clients; the engine
 //!    must shed with typed errors, never stall or crash.
-//! 4. **Deadline sweep** — a slow batcher (long `max_wait`) fed requests
+//! 3. **Deadline sweep** — a slow batcher (long `max_wait`) fed requests
 //!    whose budgets are far shorter than the batch hold time; queued
 //!    requests must be shed as typed `Expired`, never executed late.
-//! 5. **Execution sweep** — the same closed-loop load served dense, weaved
-//!    (f32 early-stop from the compressed layout), and weaved-int8, so
-//!    `BENCH_serve.json` carries measured rows per execution backend.
-//! 6. **TCP deadline** — the open-loop TCP driver pushed past its deadline
-//!    budget: paced wire requests carrying budgets far below the batch
-//!    hold time must come back as typed `Expired` over the socket.
-//! 7. **Overload sweep** — an open-loop offered-rate ladder over the
+//! 4. **TCP deadline** — the deadline sweep over the wire: paced requests
+//!    carrying budgets far below the batch hold time must come back as
+//!    typed `Expired` over the socket.
+//! 5. **Overload sweep** — an open-loop offered-rate ladder over the
 //!    sharded event-loop front-end, run once at 1 engine shard and once
 //!    at `--shards N` (default 2), ending in an unpaced saturating rung.
 //!    Maps the latency/throughput/shed frontier and pins the request
 //!    accounting closed at every rung.
-//! 8. **Lineup** — every model-zoo family deployed concurrently on one
-//!    sharded engine, each family on its own execution axis (dense /
-//!    weaved / weaved-int8), all served at once over the same sockets.
 //!
-//! Every TCP phase serves a `ShardedEngine` through a `ShardedServer`
-//! with 2 IO shards and drives it with one-shot `ResilientClient`s (one
-//! attempt, no retry), one thread per connection. Every client-side
-//! reply is classified into a typed outcome — ok / shed (`Overloaded`) /
-//! expired (`Expired`) / failed (other engine errors) / transport
-//! (`Io`/`Corrupt` socket faults) — so the study separates load shedding
-//! from real failures.
+//! Every phase serves a `ShardedEngine` loaded from the artifact on disk;
+//! the in-process phases run one engine shard. Every TCP phase serves it
+//! through a `ShardedServer` with 2 IO shards and drives it with one-shot
+//! `ResilientClient`s (one attempt, no retry), one thread per connection.
+//! Every client-side reply is classified into a typed outcome — ok / shed
+//! (`Overloaded`) / expired (`Expired`) / failed (other engine errors) /
+//! transport (`Io`/`Corrupt` socket faults) — so the study separates load
+//! shedding from real failures.
 //!
 //! `--smoke` shrinks the sweep for CI but still pushes ≥ 100 requests
-//! through the real TCP path and verifies the smoke invariants (zero shed
-//! at low load, nonzero latency percentiles, populated batch histogram,
-//! nonzero shed under overload, nonzero expired in the deadline sweep,
-//! exactly one typed outcome per request), exiting nonzero on violation.
-//! `--json` additionally writes `results/BENCH_serve.json`; the study
-//! table always goes to stdout and `results/serve_study.txt`.
+//! through the real TCP path and verifies the smoke invariants (nonzero
+//! latency percentiles, populated batch histograms, nonzero shed under
+//! overload, nonzero expired in the deadline sweeps, exactly one typed
+//! outcome per request), exiting nonzero on violation. `--json`
+//! additionally writes `results/BENCH_serve.json`; the study table always
+//! goes to stdout and `results/serve_study.txt`.
 
 use csp_bench::cli::CommonCli;
-use csp_core::ModelFamily;
 use csp_io::write_with_history;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
-    ShardPolicy, ShardedEngine, ShardedServer, StatsSnapshot,
+    BatchPolicy, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine,
+    ShardedServer, StatsSnapshot,
 };
 use csp_tensor::{CspError, CspResult, Tensor};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MODEL: &str = "basic";
@@ -113,7 +103,7 @@ struct Cell {
     phase: &'static str,
     label: String,
     policy: BatchPolicy,
-    /// Engine shards behind this cell (1 = the unsharded engine).
+    /// Engine shards behind this cell.
     shards: usize,
     clients: usize,
     offered_rps: Option<f64>,
@@ -134,11 +124,29 @@ fn request_pool(spec: ModelSpec, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Closed loop in-process on one engine loaded from the artifact on disk
-/// (the path a deployment takes): `load.conns` client threads, each
-/// issuing `load.per_conn` back-to-back requests (every other one
-/// carrying `load.budget`, when set). The overload, deadline and
-/// execution phases rename the cell.
+/// `shards` engine shards of `workers` workers each, serving the basic
+/// model from the artifact on disk (the path a deployment takes).
+fn start_engine(
+    spec: ModelSpec,
+    artifact: &Path,
+    policy: BatchPolicy,
+    shards: usize,
+    workers: usize,
+) -> CspResult<ShardedEngine> {
+    let engine = ShardedEngine::start(ShardPolicy {
+        shards,
+        workers,
+        batch: policy,
+        ..ShardPolicy::default()
+    })?;
+    engine.rolling_swap_from_path(MODEL, spec, artifact)?;
+    Ok(engine)
+}
+
+/// Closed loop in-process on one engine shard: `load.conns` client
+/// threads, each issuing `load.per_conn` back-to-back requests (every
+/// other one carrying `load.budget`, when set). The overload and deadline
+/// phases rename the cell.
 fn closed_loop(
     spec: ModelSpec,
     artifact: &Path,
@@ -147,9 +155,7 @@ fn closed_loop(
     load: Load,
     seed: u64,
 ) -> CspResult<Cell> {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.load_from_path(MODEL, spec, artifact)?;
-    let engine = Engine::start(registry, policy, workers)?;
+    let engine = start_engine(spec, artifact, policy, 1, workers)?;
     let samples = request_pool(spec, seed);
     let start = Instant::now();
     let handles: Vec<_> = (0..load.conns)
@@ -191,7 +197,7 @@ fn closed_loop(
 /// The shape of one load run.
 #[derive(Debug, Clone, Copy)]
 struct Load {
-    /// Clients (TCP connections) per served model, each on its own thread.
+    /// Clients (TCP connections), each on its own thread.
     conns: usize,
     /// Requests each connection sends.
     per_conn: usize,
@@ -214,49 +220,42 @@ impl Load {
     }
 }
 
-/// Drive the front-end at `addr`: `load.conns` one-shot connections per
-/// entry of `models` (a model name and the samples it rotates through),
-/// all live at once. Returns each model's merged typed outcomes.
-fn drive_tcp(
-    addr: SocketAddr,
-    models: &[(&'static str, Vec<Tensor>)],
-    load: Load,
-) -> Vec<Outcomes> {
+/// Drive the front-end at `addr` with `load.conns` one-shot connections,
+/// all live at once, each rotating through `samples`. Returns their merged
+/// typed outcomes.
+fn drive_tcp(addr: SocketAddr, samples: &[Tensor], load: Load) -> Outcomes {
     let one_shot = RetryPolicy {
         max_attempts: 1,
         ..RetryPolicy::default()
     };
-    let handles: Vec<_> = models
-        .iter()
-        .flat_map(|(model, samples)| {
-            (0..load.conns).map(move |t| {
-                let (model, samples) = (*model, samples.clone());
-                std::thread::spawn(move || -> CspResult<Outcomes> {
-                    let mut tcp = ResilientClient::connect(&addr, one_shot)?;
-                    let mut outcomes = Outcomes::default();
-                    for i in 0..load.per_conn {
-                        let x = &samples[(t + i) % samples.len()];
-                        let budget = load.budget.filter(|_| i % 2 == 0);
-                        outcomes.record(&tcp.infer(model, x, budget));
-                        if let Some(p) = load.pace {
-                            std::thread::sleep(p);
-                        }
+    let handles: Vec<_> = (0..load.conns)
+        .map(|t| {
+            let samples = samples.to_vec();
+            std::thread::spawn(move || -> CspResult<Outcomes> {
+                let mut tcp = ResilientClient::connect(&addr, one_shot)?;
+                let mut outcomes = Outcomes::default();
+                for i in 0..load.per_conn {
+                    let x = &samples[(t + i) % samples.len()];
+                    let budget = load.budget.filter(|_| i % 2 == 0);
+                    outcomes.record(&tcp.infer(MODEL, x, budget));
+                    if let Some(p) = load.pace {
+                        std::thread::sleep(p);
                     }
-                    Ok(outcomes)
-                })
+                }
+                Ok(outcomes)
             })
         })
         .collect();
-    let mut per_model = vec![Outcomes::default(); models.len()];
-    for (j, h) in handles.into_iter().enumerate() {
+    let mut outcomes = Outcomes::default();
+    for h in handles {
         match h.join() {
-            Ok(Ok(o)) => per_model[j / load.conns].merge(o),
+            Ok(Ok(o)) => outcomes.merge(o),
             // A connection that could not even be established counts all
             // its requests as transport errors.
-            _ => per_model[j / load.conns].transport += load.per_conn as u64,
+            _ => outcomes.transport += load.per_conn as u64,
         }
     }
-    per_model
+    outcomes
 }
 
 /// One TCP cell: the basic model on `shards` engine shards behind the
@@ -271,16 +270,10 @@ fn tcp_cell(
     load: Load,
     seed: u64,
 ) -> CspResult<Cell> {
-    let sharded = ShardedEngine::start(ShardPolicy {
-        shards,
-        workers,
-        batch: policy,
-        ..ShardPolicy::default()
-    })?;
-    sharded.rolling_swap_from_path(MODEL, spec, artifact)?;
+    let sharded = start_engine(spec, artifact, policy, shards, workers)?;
     let server = ShardedServer::serve(sharded.client(), "127.0.0.1:0", IO_SHARDS)?;
     let start = Instant::now();
-    let outcomes = drive_tcp(server.addr(), &[(MODEL, request_pool(spec, seed))], load)[0];
+    let outcomes = drive_tcp(server.addr(), &request_pool(spec, seed), load);
     let wall_s = start.elapsed().as_secs_f64();
     let snap = sharded.stats(MODEL);
     server.shutdown(Duration::from_secs(10))?;
@@ -299,73 +292,6 @@ fn tcp_cell(
         wall_s,
         snap,
     })
-}
-
-/// The multi-model lineup, one family per execution axis.
-fn lineup_roster() -> [(ModelFamily, Execution); 5] {
-    [
-        (ModelFamily::Basic, Execution::Dense),
-        (ModelFamily::AlexNet, Execution::Weaved),
-        (ModelFamily::Vgg, Execution::WeavedInt8),
-        (ModelFamily::ResNet, Execution::Weaved),
-        (ModelFamily::Inception, Execution::WeavedInt8),
-    ]
-}
-
-/// Lineup phase: every zoo family deployed on **one** sharded engine,
-/// each on its own execution axis, all served concurrently over the same
-/// event-loop front-end. One cell per model, measured while the other
-/// four are under load.
-fn lineup(shards: usize, workers: usize, per_conn: usize, seed: u64) -> CspResult<Vec<Cell>> {
-    let policy = BatchPolicy {
-        max_batch: 8,
-        max_wait: Duration::from_millis(1),
-        queue_cap: 256,
-    };
-    let sharded = ShardedEngine::start(ShardPolicy {
-        shards,
-        workers,
-        batch: policy,
-        ..ShardPolicy::default()
-    })?;
-    let roster = lineup_roster();
-    let mut models = Vec::new();
-    for (family, execution) in roster {
-        let spec = ModelSpec {
-            family,
-            execution,
-            ..ModelSpec::default()
-        };
-        sharded.deploy(family.name(), spec, &prune_to_artifact(spec, 0.8))?;
-        models.push((family.name(), request_pool(spec, seed)));
-    }
-    let server = ShardedServer::serve(sharded.client(), "127.0.0.1:0", IO_SHARDS)?;
-
-    // Two connections per family, all live at once, so every model is
-    // measured while the other four are being served.
-    let load = Load::burst(2, per_conn);
-    let start = Instant::now();
-    let per_model = drive_tcp(server.addr(), &models, load);
-    let wall_s = start.elapsed().as_secs_f64();
-    let cells = roster
-        .iter()
-        .zip(per_model)
-        .map(|(&(family, execution), outcomes)| Cell {
-            phase: "lineup",
-            label: format!("{}-{}", family.name(), execution.name()),
-            policy,
-            shards,
-            clients: load.conns,
-            offered_rps: None,
-            requests: (load.conns * per_conn) as u64,
-            outcomes,
-            wall_s,
-            snap: sharded.stats(family.name()),
-        })
-        .collect();
-    server.shutdown(Duration::from_secs(10))?;
-    sharded.shutdown()?;
-    Ok(cells)
 }
 
 fn study_table(cells: &[Cell]) -> String {
@@ -416,7 +342,7 @@ fn write_json(path: &str, cells: &[Cell], workers: usize, shards: usize, smoke: 
         .map(|n| n.get())
         .unwrap_or(1);
     let mut body = String::from("{\n");
-    body.push_str("  \"schema\": \"csp-bench/serve/v3\",\n");
+    body.push_str("  \"schema\": \"csp-bench/serve/v4\",\n");
     body.push_str(&format!("  \"smoke\": {smoke},\n"));
     body.push_str(&format!("  \"host_threads\": {host},\n"));
     body.push_str(&format!("  \"workers\": {workers},\n"));
@@ -486,16 +412,15 @@ fn write_json(path: &str, cells: &[Cell], workers: usize, shards: usize, smoke: 
 /// The smoke invariants the CI gate checks. Returns violation messages.
 fn check_invariants(cells: &[Cell]) -> Vec<String> {
     let mut bad = Vec::new();
-    let tcp: Vec<&Cell> = cells.iter().filter(|c| c.phase == "tcp-open").collect();
-    let tcp_completed: u64 = tcp.iter().map(|c| c.snap.completed).sum();
-    let tcp_shed: u64 = tcp.iter().map(|c| c.snap.shed + c.snap.expired).sum();
+    let tcp_completed: u64 = cells
+        .iter()
+        .filter(|c| c.phase == "overload-sweep")
+        .map(|c| c.snap.completed)
+        .sum();
     if tcp_completed < 100 {
         bad.push(format!(
-            "tcp phase completed only {tcp_completed} requests (need >= 100)"
+            "overload sweep completed only {tcp_completed} TCP requests (need >= 100)"
         ));
-    }
-    if tcp_shed != 0 {
-        bad.push(format!("tcp phase shed {tcp_shed} requests at low load"));
     }
     for c in cells {
         // Accounting: every issued request landed in exactly one typed
@@ -511,7 +436,7 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
     }
     for c in cells
         .iter()
-        .filter(|c| c.phase == "closed" || c.phase == "tcp-open")
+        .filter(|c| c.phase == "closed" || c.phase == "overload-sweep")
     {
         if c.snap.completed > 0 && (c.snap.p50_us == 0 || c.snap.p99_us == 0) {
             bad.push(format!(
@@ -522,6 +447,8 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
         if c.snap.completed > 0 && c.snap.batch_hist.iter().sum::<u64>() == 0 {
             bad.push(format!("cell {} has an empty batch histogram", c.label));
         }
+    }
+    for c in cells.iter().filter(|c| c.phase == "closed") {
         if c.outcomes.errors() > 0 {
             bad.push(format!(
                 "cell {} saw {} client-side errors at benign load",
@@ -538,22 +465,9 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
     if over_shed == 0 {
         bad.push("overload phase shed nothing (admission control inert)".to_string());
     }
-    for c in cells.iter().filter(|c| c.phase == "execution") {
-        // Every execution backend serves the benign closed loop cleanly.
-        if c.outcomes.errors() > 0 {
-            bad.push(format!(
-                "execution cell {} saw {} client-side errors at benign load",
-                c.label,
-                c.outcomes.errors()
-            ));
-        }
-        if c.snap.completed == 0 {
-            bad.push(format!("execution cell {} completed nothing", c.label));
-        }
-    }
     for c in cells.iter().filter(|c| c.phase == "tcp-deadline") {
         // The wire-level deadline point must actually expire requests —
-        // the open-loop phase driven past its budget.
+        // the deadline sweep driven over a socket.
         if c.outcomes.expired == 0 || c.snap.expired == 0 {
             bad.push(format!(
                 "tcp-deadline cell {} expired nothing (client={}, server={}) — wire \
@@ -613,28 +527,6 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
             bad.push(format!(
                 "overload-sweep cell {} completed nothing under saturation",
                 c.label
-            ));
-        }
-    }
-    for c in cells.iter().filter(|c| c.phase == "lineup") {
-        // Every zoo family in the lineup is actually served, cleanly,
-        // while the other four are under load.
-        if c.snap.completed == 0 {
-            bad.push(format!("lineup cell {} completed nothing", c.label));
-        }
-        if c.outcomes.errors() > 0 {
-            bad.push(format!(
-                "lineup cell {} saw {} client-side errors at benign load",
-                c.label,
-                c.outcomes.errors()
-            ));
-        }
-        if c.snap.admitted != c.snap.completed + c.snap.failed + c.snap.expired {
-            bad.push(format!(
-                "lineup cell {} leaks requests: admitted {} != answered {}",
-                c.label,
-                c.snap.admitted,
-                c.snap.completed + c.snap.failed + c.snap.expired
             ));
         }
     }
@@ -699,32 +591,7 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
         }
     }
 
-    // Phase 2: open loop over real TCP.
-    let tcp_cfgs: &[(usize, usize, u64)] = if smoke {
-        &[(4, 30, 1000)] // 4 conns × 30 reqs ≥ 100, 1 ms pace
-    } else {
-        &[(2, 100, 2000), (8, 100, 500)]
-    };
-    let b8w1 = BatchPolicy {
-        max_batch: 8,
-        max_wait: Duration::from_millis(1),
-        queue_cap: 256,
-    };
-    for &(conns, per_conn, pace_us) in tcp_cfgs {
-        let load = Load {
-            pace: Some(Duration::from_micros(pace_us)),
-            ..Load::burst(conns, per_conn)
-        };
-        let cell = tcp_cell(spec, &artifact, b8w1, 1, workers, load, seed)?;
-        let rps = cell.offered_rps.unwrap_or_default();
-        cells.push(Cell {
-            phase: "tcp-open",
-            label: format!("b8w1ms@{rps:.0}rps"),
-            ..cell
-        });
-    }
-
-    // Phase 3: overload — a deliberately tiny queue hammered by unpaced
+    // Phase 2: overload — a deliberately tiny queue hammered by unpaced
     // clients; the engine must shed with typed `Overloaded` errors.
     let cap2 = BatchPolicy {
         max_batch: 1,
@@ -737,7 +604,7 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
         ..closed_loop(spec, &artifact, cap2, 1, Load::burst(16, 25), seed)?
     });
 
-    // Phases 4 and 6: the batcher holds batches open (25 ms) far longer
+    // Phases 3 and 4: the batcher holds batches open (25 ms) far longer
     // than the 1 ms budget every other request carries, in process and
     // over TCP: queued requests must be shed as typed `Expired`, never
     // executed late, and the budget-free half must complete.
@@ -756,25 +623,13 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
         ..closed_loop(spec, &artifact, hold, 1, dl_load, seed)?
     });
 
-    // Phase 5: execution sweep — the same closed-loop load served by
-    // each execution backend, from the same artifact on disk.
-    let ex_load = Load::burst(4, if smoke { 25 } else { 100 });
-    for execution in [Execution::Dense, Execution::Weaved, Execution::WeavedInt8] {
-        let espec = ModelSpec { execution, ..spec };
-        cells.push(Cell {
-            phase: "execution",
-            label: execution.name().to_string(),
-            ..closed_loop(espec, &artifact, b8w1, workers, ex_load, seed)?
-        });
-    }
-
     cells.push(Cell {
         phase: "tcp-deadline",
         label: "hold25ms-budget1ms".to_string(),
         ..tcp_cell(spec, &artifact, hold, 1, 1, dl_load, seed)?
     });
 
-    // Phase 7: overload sweep — the offered-rate ladder, once at 1 shard
+    // Phase 5: overload sweep — the offered-rate ladder, once at 1 shard
     // and once at `--shards N`, each ending in an unpaced saturating rung
     // against a deliberately small queue.
     let sweep_policy = BatchPolicy {
@@ -804,9 +659,14 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
                 )
             })
             .collect();
-        // The saturating rung: unpaced back-to-back requests from twice
-        // the connections — admission control must shed, typed.
-        rungs.push(Load::burst(conns * 2, if smoke { 25 } else { 100 }));
+        // The saturating rung: unpaced back-to-back requests, the same
+        // total at every shard count, from 16 one-shot connections per
+        // engine shard. That exceeds a shard's in-flight capacity at the
+        // default 2 workers (queue_cap 4 + 2 × max_batch 4 = 12), so
+        // admission control must shed, typed.
+        let rung_conns = 2 * conns * engine_shards;
+        let rung_requests = if smoke { 400 } else { 1600 };
+        rungs.push(Load::burst(rung_conns, (rung_requests / rung_conns).max(1)));
         for load in rungs {
             let cell = tcp_cell(
                 spec,
@@ -828,16 +688,12 @@ fn run(cli: &CommonCli, shards: usize) -> CspResult<Vec<Cell>> {
         }
     }
 
-    // Phase 8: the multi-model lineup on one sharded engine.
-    let lu_per_conn = if smoke { 15 } else { 60 };
-    cells.extend(lineup(shards, workers, lu_per_conn, seed)?);
-
     let _ = std::fs::remove_dir_all(&dir);
     Ok(cells)
 }
 
-/// Driver-specific flags: `--shards N` (engine shards for the overload
-/// sweep and lineup phases, default 2).
+/// Driver-specific flags: `--shards N` (engine shards of the overload
+/// sweep's sharded arm, default 2).
 fn parse_shards(rest: &[String]) -> Result<usize, String> {
     const USAGE: &str = "serve_bench [--smoke] [--json] [--threads N] [--out PATH] [--seed N] \
                          [--telemetry] [--shards N]";
@@ -890,18 +746,17 @@ fn main() -> ExitCode {
     let mut study = String::from("serve_bench study: batched serving under load\n\n");
     study.push_str(&table);
     study.push_str(
-        "\nphases: closed = in-process closed loop; tcp-open = paced open loop over\n\
-         loopback TCP; overload = unpaced burst into a cap-2 queue (shed expected);\n\
-         deadline = 1 ms budgets against a 25 ms batch hold (expired expected);\n\
-         execution = closed loop per execution backend (dense / weaved / weaved-int8);\n\
-         tcp-deadline = open-loop TCP past its deadline budget (expired expected);\n\
-         overload-sweep = offered-rate ladder at 1 vs N engine shards, ending in an\n\
-         unpaced saturating rung;\n\
-         lineup = every zoo family concurrently on one sharded engine, each on its\n\
-         own execution axis.\n\
+        "\nphases: closed = in-process closed loop on one engine shard; overload =\n\
+         unpaced burst into a cap-2 queue (shed expected); deadline = 1 ms budgets\n\
+         against a 25 ms batch hold (expired expected); tcp-deadline = the same over\n\
+         loopback TCP (expired expected); overload-sweep = offered-rate ladder at 1 vs\n\
+         N engine shards, ending in an unpaced saturating rung of 16 connections per\n\
+         shard.\n\
          every TCP phase runs on the sharded event-loop front-end (2 IO shards) with\n\
          one-shot clients. outcome columns (ok/shed/expired/failed/io) are\n\
-         client-side typed replies.\n",
+         client-side typed replies. percentiles are log-linear histogram bucket\n\
+         bounds, less than 6.25% above the sample. open-loop latency and\n\
+         throughput are measured by the `benchmark` binary (BENCHMARK.json).\n",
     );
     // The frontier headline: sharded vs single-engine throughput at the
     // saturating rung, reported honestly (measured, not gated).

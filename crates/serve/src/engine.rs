@@ -46,7 +46,7 @@ use crate::batch::{BatchPolicy, BatchQueue, InferReply, Pending};
 use crate::chaos::ChaosSession;
 use crate::protocol::{HealthReport, HealthState};
 use crate::registry::ModelRegistry;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::Stats;
 use csp_nn::Sequential;
 use csp_runtime::{with_threads, Supervisor};
 use csp_sim::FaultClass;
@@ -226,41 +226,29 @@ fn supervisor_loop(shared: &Arc<Shared>, set: &WorkerSet) {
     }
 }
 
-/// The serving engine: supervised worker threads plus the shared
-/// queue/registry.
+/// One engine shard: supervised worker threads plus the shared
+/// queue/registry. [`ShardedEngine`](crate::ShardedEngine) owns these.
 ///
 /// Dropping an `Engine` without calling [`shutdown`](Engine::shutdown)
 /// closes the queue and detaches the workers (they drain and exit);
 /// `shutdown` additionally joins them, guaranteeing every admitted request
 /// was answered.
 #[derive(Debug)]
-pub struct Engine {
+pub(crate) struct Engine {
     shared: Arc<Shared>,
     set: Arc<WorkerSet>,
     supervisor: Option<JoinHandle<()>>,
 }
 
 impl Engine {
-    /// Start `workers` worker threads serving `registry` under `policy`.
+    /// Start `workers` worker threads serving `registry` under `policy`,
+    /// drawing seeded serving-tier faults (worker stalls and panics) from
+    /// `chaos` when given.
     ///
     /// # Errors
     ///
     /// Returns [`CspError::Config`] for an invalid policy or zero workers.
-    pub fn start(
-        registry: Arc<ModelRegistry>,
-        policy: BatchPolicy,
-        workers: usize,
-    ) -> CspResult<Engine> {
-        Engine::start_with_chaos(registry, policy, workers, None)
-    }
-
-    /// Like [`start`](Engine::start), but drawing seeded serving-tier
-    /// faults (worker stalls and panics) from `chaos`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CspError::Config`] for an invalid policy or zero workers.
-    pub fn start_with_chaos(
+    pub(crate) fn start_with_chaos(
         registry: Arc<ModelRegistry>,
         policy: BatchPolicy,
         workers: usize,
@@ -305,45 +293,10 @@ impl Engine {
     }
 
     /// A cheap cloneable handle for submitting requests in-process.
-    pub fn client(&self) -> Client {
+    pub(crate) fn client(&self) -> Client {
         Client {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// The registry this engine serves from.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.shared.registry
-    }
-
-    /// The batch policy in effect.
-    pub fn policy(&self) -> BatchPolicy {
-        *self.shared.queue.policy()
-    }
-
-    /// The engine's current health verdict.
-    pub fn health(&self) -> HealthReport {
-        self.shared.health()
-    }
-
-    /// Snapshot one model's rolling stats.
-    pub fn stats(&self, model: &str) -> StatsSnapshot {
-        self.shared.stats.snapshot(model)
-    }
-
-    /// Snapshots for every model seen so far.
-    pub fn stats_all(&self) -> Vec<StatsSnapshot> {
-        self.shared.stats.all()
-    }
-
-    /// One merged telemetry snapshot: this engine's serving counters plus
-    /// whatever the process-wide registry has collected (kernel, runtime,
-    /// and accelerator metrics when `CSP_TELEMETRY` is on).
-    pub fn telemetry_snapshot(&self) -> csp_telemetry::Snapshot {
-        self.shared
-            .stats
-            .telemetry_snapshot()
-            .merged(&csp_telemetry::global_snapshot())
     }
 
     /// Graceful shutdown: refuse new admissions, drain every queued
@@ -356,7 +309,7 @@ impl Engine {
     ///
     /// Returns [`CspError::Io`] if a worker or the supervisor panicked
     /// outside the supervised forward region.
-    pub fn shutdown(mut self) -> CspResult<()> {
+    pub(crate) fn shutdown(mut self) -> CspResult<()> {
         self.shared.queue.close();
         if let Some(s) = self.supervisor.take() {
             s.join().map_err(|_| CspError::Io {
@@ -615,16 +568,16 @@ impl Client {
         self.shared.health()
     }
 
-    /// Snapshot one model's rolling stats.
-    pub fn stats(&self, model: &str) -> StatsSnapshot {
-        self.shared.stats.snapshot(model)
+    /// Completed requests per second for one model over this engine's
+    /// active window.
+    pub(crate) fn qps(&self, model: &str) -> f64 {
+        self.shared.stats.qps(model)
     }
 
     /// This engine's serving counters alone, **without** the process-global
     /// registry merged in. The sharded tier folds one of these per shard
-    /// and merges the global registry exactly once — merging
-    /// [`Engine::telemetry_snapshot`]s instead would multiply every
-    /// global counter by the shard count.
+    /// and merges the global registry exactly once, so global counters
+    /// are not multiplied by the shard count.
     pub(crate) fn stats_telemetry(&self) -> csp_telemetry::Snapshot {
         self.shared.stats.telemetry_snapshot()
     }
@@ -793,7 +746,8 @@ mod tests {
         registry
             .load_from_bytes("m", spec, &prune_to_artifact(spec, 0.8))
             .unwrap();
-        (Engine::start(registry, policy, workers).unwrap(), spec)
+        let engine = Engine::start_with_chaos(registry, policy, workers, None).unwrap();
+        (engine, spec)
     }
 
     #[test]
@@ -805,7 +759,7 @@ mod tests {
         assert_eq!(reply.output.len(), spec.classes);
         assert_eq!(reply.model_version, 1);
         assert!(reply.batch_size >= 1);
-        let stats = engine.stats("m");
+        let stats = engine.shared.stats.snapshot("m");
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.shed, 0);
         engine.shutdown().unwrap();
@@ -876,7 +830,7 @@ mod tests {
         // distinguishable from admission-control Overloaded.
         let err = client.infer("m", &x, Some(Duration::ZERO)).unwrap_err();
         assert!(matches!(err, CspError::Expired { ref what } if what.contains("deadline")));
-        let stats = engine.stats("m");
+        let stats = engine.shared.stats.snapshot("m");
         assert_eq!(stats.expired, 1);
         engine.shutdown().unwrap();
     }
@@ -904,7 +858,7 @@ mod tests {
             max_seen > 1,
             "a 100 ms hold with 8 concurrent clients must form a multi-request batch"
         );
-        let stats = engine.stats("m");
+        let stats = engine.shared.stats.snapshot("m");
         assert_eq!(stats.completed, 8);
         assert!(stats.batch_hist[max_seen] >= 1);
         engine.shutdown().unwrap();
@@ -918,16 +872,20 @@ mod tests {
         let first = client.infer_keyed("m", &x, None, 7, 1).unwrap();
         let retry = client.infer_keyed("m", &x, None, 7, 1).unwrap();
         assert_eq!(first, retry, "retry must see the exact same reply");
-        let stats = engine.stats("m");
+        let stats = engine.shared.stats.snapshot("m");
         assert_eq!(stats.completed, 1, "the retry must not re-execute");
         assert_eq!(stats.admitted, 1, "the retry must not re-admit");
         assert_eq!(
-            engine.telemetry_snapshot().counter("serve.dedup_hits", "m"),
+            engine
+                .shared
+                .stats
+                .telemetry_snapshot()
+                .counter("serve.dedup_hits", "m"),
             1
         );
         // A different id under the same token does execute.
         client.infer_keyed("m", &x, None, 7, 2).unwrap();
-        assert_eq!(engine.stats("m").completed, 2);
+        assert_eq!(engine.shared.stats.snapshot("m").completed, 2);
         engine.shutdown().unwrap();
     }
 
@@ -976,10 +934,10 @@ mod tests {
         }
         // The supervisor records the restart just after respawning; give
         // it a moment to catch up with the reply we already saw.
-        while engine.health().restarts < 1 && Instant::now() < deadline {
+        while engine.shared.health().restarts < 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let health = engine.health();
+        let health = engine.shared.health();
         assert!(health.restarts >= 1, "supervisor must have restarted");
         assert!(health.panics >= 1);
         assert_eq!(health.state, HealthState::Degraded, "restart within 5 s");
@@ -989,7 +947,7 @@ mod tests {
     #[test]
     fn health_reports_ready_then_draining() {
         let (engine, _) = engine_with_model(BatchPolicy::default(), 2);
-        let h = engine.health();
+        let h = engine.shared.health();
         assert_eq!(h.state, HealthState::Ready);
         assert_eq!(h.workers, 2);
         assert_eq!(h.restarts, 0);

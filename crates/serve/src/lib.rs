@@ -9,7 +9,7 @@
 //! * [`batch`] is the dynamic batcher — a bounded request queue with
 //!   max-batch-size / max-wait batch formation and admission-control
 //!   shedding ([`csp_tensor::CspError::Overloaded`]);
-//! * [`engine`] runs the worker pool; a batch of `N` requests is
+//! * [`engine`] runs one shard's worker pool; a batch of `N` requests is
 //!   byte-identical to `N` serial single-request calls;
 //! * [`protocol`] is the length-prefixed binary wire protocol, reusing
 //!   `csp_io::wire`;
@@ -19,8 +19,8 @@
 //! * [`net`] is the TCP front-end — acceptor/IO shards hand-polling
 //!   nonblocking sockets, so thousands of connections share a few
 //!   event-loop threads;
-//! * [`stats`] keeps per-model rolling QPS, latency percentiles, and the
-//!   executed batch-size histogram;
+//! * [`stats`] keeps per-model rolling QPS, log-linear latency
+//!   percentiles, and the executed batch-size histogram;
 //! * [`retry`] is the TCP client — deterministic seeded backoff,
 //!   reconnect-and-retry, and idempotent request keys so a retry after a
 //!   lost reply never double-executes;
@@ -31,14 +31,13 @@
 //!   training pipeline (for tests and benchmarks).
 //!
 //! ```no_run
-//! use csp_serve::{BatchPolicy, Engine, ModelRegistry, ModelSpec};
-//! use std::sync::Arc;
+//! use csp_serve::{ModelSpec, ShardPolicy, ShardedEngine};
 //!
-//! let registry = Arc::new(ModelRegistry::new());
-//! registry
-//!     .load_from_path("basic", ModelSpec::default(), std::path::Path::new("model.cspio"))
+//! // Two engine shards of two workers each; `shards: 1` is a single engine.
+//! let engine = ShardedEngine::start(ShardPolicy::default()).unwrap();
+//! engine
+//!     .rolling_swap_from_path("basic", ModelSpec::default(), std::path::Path::new("model.cspio"))
 //!     .unwrap();
-//! let engine = Engine::start(registry, BatchPolicy::default(), 2).unwrap();
 //! let client = engine.client();
 //! # let input = csp_tensor::Tensor::zeros(&[1, 8, 8]);
 //! let reply = client.infer("basic", &input, None).unwrap();
@@ -63,10 +62,10 @@ pub mod testutil;
 pub use batch::{BatchPolicy, InferReply};
 pub use chaos::ChaosSession;
 pub use csp_sparse::Execution;
-pub use engine::{Client, Engine, PendingReply};
+pub use engine::{Client, PendingReply};
 pub use net::ShardedServer;
 pub use protocol::{HealthReport, HealthState};
 pub use registry::{LoadedModel, ModelRegistry, ModelSpec};
 pub use retry::{ResilientClient, RetryPolicy};
 pub use shard::{RollingSwap, ShardClient, ShardPolicy, ShardedEngine};
-pub use stats::{histogram_quantile, Stats, StatsSnapshot};
+pub use stats::{histogram_quantile, StatsSnapshot};

@@ -33,8 +33,9 @@
 //!
 //! Per-shard counters and histograms merge commutatively
 //! ([`csp_telemetry`]), and latency percentiles are derived from the
-//! *merged* histograms — so the reported p50/p99 is invariant to shard
-//! count (the `Stats` satellite fix; pinned in `stats.rs` tests).
+//! *merged* log-linear histograms — so the reported p50/p99 is invariant
+//! to shard count (pinned in `stats.rs` tests) and over-states its sample
+//! by less than 6.25% ([`LATENCY_SUB_BITS`](crate::stats::LATENCY_SUB_BITS)).
 
 use crate::batch::{BatchPolicy, InferReply};
 use crate::chaos::ChaosSession;
@@ -199,7 +200,7 @@ impl ShardSet {
         // QPS needs wall-clock windows a snapshot cannot carry: sum the
         // per-shard estimates (windows overlap, so this is approximate
         // but monotone in true throughput).
-        snap.qps = self.clients.iter().map(|c| c.stats(model).qps).sum();
+        snap.qps = self.clients.iter().map(|c| c.qps(model)).sum();
         snap
     }
 
@@ -501,8 +502,9 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// As [`Engine::shutdown`] — the first shard failure is returned, but
-    /// every shard is shut down regardless.
+    /// Returns [`CspError::Io`] if a shard's worker or supervisor thread
+    /// panicked outside the supervised forward region — the first shard
+    /// failure is returned, but every shard is shut down regardless.
     pub fn shutdown(self) -> CspResult<()> {
         let mut first_err = None;
         for e in self.engines {

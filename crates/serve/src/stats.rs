@@ -8,19 +8,27 @@
 //! the whole engine view can be exported as one versioned
 //! [`csp_telemetry::Snapshot`] (the TCP `Telemetry` op).
 //!
-//! Exact percentile math needs the raw recent latencies, not bucketed
-//! counts, so a bounded per-model ring (plus the wall-clock QPS window)
-//! stays in a small mutex-protected side table; percentiles are computed
-//! only when a snapshot is taken.
+//! Every latency percentile comes from [`histogram_quantile`] over the
+//! log-linear `serve.latency_us` histogram: [`LATENCY_SUB_BITS`] linear
+//! sub-buckets per octave, so a reported percentile over-states its
+//! sample by less than `2^-LATENCY_SUB_BITS`, and histograms from any
+//! number of shards merge element-wise into the same percentiles. Only
+//! the wall-clock QPS window, which needs `Instant`s, stays in a small
+//! mutex-protected side table.
 
 use csp_telemetry::{Histogram, Registry, Snapshot};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Capacity of the per-model latency ring (recent requests kept for
-/// percentile estimation).
-pub const LATENCY_RING: usize = 16_384;
+/// Linear sub-buckets per octave of the latency histogram, as a power of
+/// two: every reported latency percentile is within a factor
+/// `1 + 2^-LATENCY_SUB_BITS` (6.25%) above the sample it stands for.
+pub const LATENCY_SUB_BITS: u32 = 4;
+
+/// The largest latency bucket bound, in microseconds (~134 s); slower
+/// samples land in the overflow bucket and read as this bound.
+const LATENCY_MAX_US: u64 = 1 << 27;
 
 /// Metric names written by the collector — the workspace-wide constants
 /// from [`csp_telemetry::names`], so readers (benches, tests, remote
@@ -37,25 +45,13 @@ mod metric {
     };
 }
 
-/// Latency-ring and QPS-window state that cannot live in the registry
-/// (exact percentiles need raw samples; QPS needs `Instant`s).
+/// One model's QPS window (first admission → last completion), which a
+/// registry snapshot cannot carry.
 #[derive(Debug, Default)]
-struct Local {
-    latencies_us: Vec<u64>,
-    ring_next: usize,
+struct Window {
     first_admit: Option<Instant>,
     last_done: Option<Instant>,
-}
-
-impl Local {
-    fn push_latency(&mut self, us: u64) {
-        if self.latencies_us.len() < LATENCY_RING {
-            self.latencies_us.push(us);
-        } else {
-            self.latencies_us[self.ring_next] = us;
-            self.ring_next = (self.ring_next + 1) % LATENCY_RING;
-        }
-    }
+    completed: u64,
 }
 
 /// An immutable snapshot of one model's serving stats.
@@ -77,13 +73,15 @@ pub struct StatsSnapshot {
     pub batches: u64,
     /// `batch_hist[b]` = batches of size `b` (last bucket = "or larger").
     pub batch_hist: Vec<u64>,
-    /// Median request latency (admission → response), microseconds.
+    /// Median request latency (admission → response), microseconds. Like
+    /// every percentile here, a histogram bucket bound less than a factor
+    /// `1 + 2^-LATENCY_SUB_BITS` above the sample it stands for.
     pub p50_us: u64,
     /// 95th-percentile latency, microseconds.
     pub p95_us: u64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: u64,
-    /// Worst latency in the ring, microseconds.
+    /// Worst latency, microseconds.
     pub max_us: u64,
     /// Completed requests per second over the active window (first
     /// admission → last completion).
@@ -94,12 +92,14 @@ pub struct StatsSnapshot {
 /// bound whose cumulative count covers `ceil(q · total)` samples (the
 /// overflow bucket reports the last finite bound, saturated).
 ///
-/// Unlike the exact ring-based percentiles, this depends only on the
-/// bucket counts — and [`Histogram::merge`] is a commutative element-wise
-/// sum — so the quantile of a merge equals the quantile of the union of
-/// samples, however they were sharded. That property is what makes the
-/// sharded engine's reported p50/p99 **shard-count-invariant**
-/// (`tests` pin merged ≡ single-shard).
+/// It depends only on the bucket counts — and [`Histogram::merge`] is a
+/// commutative element-wise sum — so the quantile of a merge equals the
+/// quantile of the union of samples, however they were sharded. That
+/// property is what makes the sharded engine's reported p50/p99
+/// **shard-count-invariant** (`tests` pin merged ≡ single-shard). Over
+/// the serving latency histogram the result is at least the exact
+/// `ceil(q · total)`-th smallest sample and less than
+/// `1 + 2^-LATENCY_SUB_BITS` times it.
 pub fn histogram_quantile(h: &Histogram, q: f64) -> u64 {
     let total = h.total();
     if total == 0 {
@@ -130,9 +130,8 @@ impl StatsSnapshot {
     /// Counters come straight from the merged counters; latency
     /// percentiles come from the merged `serve.latency_us` histogram via
     /// [`histogram_quantile`], so they are invariant to how the load was
-    /// split across shards (bucket resolution, not exact ranks). `qps` is
-    /// not derivable from a snapshot (no wall clock) and is left 0 for the
-    /// caller to fill.
+    /// split across shards. `qps` is not derivable from a snapshot (no
+    /// wall clock) and is left 0 for the caller to fill.
     pub fn from_telemetry(reg: &Snapshot, model: &str, max_batch: usize) -> StatsSnapshot {
         let max_batch = max_batch.max(1);
         let mut batch_hist = vec![0u64; max_batch + 1];
@@ -186,53 +185,42 @@ impl StatsSnapshot {
 /// Thread-safe per-model stats collector backed by a private telemetry
 /// registry.
 #[derive(Debug)]
-pub struct Stats {
+pub(crate) struct Stats {
     registry: Registry,
-    max_batch: usize,
     /// Batch-size histogram bounds `0..=max_batch` (overflow bucket =
     /// oversized batches, folded into the last legacy bucket).
     batch_bounds: Vec<u64>,
-    /// Exponential latency bounds for the exported histogram (exact
-    /// percentiles come from the ring, not these buckets).
+    /// Log-linear latency bounds, 1 µs to `LATENCY_MAX_US`.
     latency_bounds: Vec<u64>,
-    local: Mutex<HashMap<String, Local>>,
+    windows: Mutex<HashMap<String, Window>>,
 }
 
 impl Stats {
     /// A collector whose batch histograms cover `0..=max_batch`.
-    pub fn new(max_batch: usize) -> Self {
-        let max_batch = max_batch.max(1);
+    pub(crate) fn new(max_batch: usize) -> Self {
         Stats {
             registry: Registry::new(),
-            max_batch,
-            batch_bounds: (0..=max_batch as u64).collect(),
-            // 1 µs … ~134 s in doubling buckets.
-            latency_bounds: Histogram::exponential_bounds(1, 28),
-            local: Mutex::new(HashMap::new()),
+            batch_bounds: (0..=max_batch.max(1) as u64).collect(),
+            latency_bounds: Histogram::log_linear_bounds(LATENCY_SUB_BITS, LATENCY_MAX_US),
+            windows: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The registry holding this collector's counters — merged into the
-    /// engine-wide snapshot served by the TCP `Telemetry` op.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// One versioned snapshot of every counter/histogram in the
     /// collector (all models).
-    pub fn telemetry_snapshot(&self) -> Snapshot {
+    pub(crate) fn telemetry_snapshot(&self) -> Snapshot {
         self.registry.snapshot()
     }
 
-    fn with_local<R>(&self, model: &str, f: impl FnOnce(&mut Local) -> R) -> R {
-        let mut map = self.local.lock().expect("stats lock");
+    fn with_window<R>(&self, model: &str, f: impl FnOnce(&mut Window) -> R) -> R {
+        let mut map = self.windows.lock().expect("stats lock");
         f(map.entry(model.to_string()).or_default())
     }
 
     pub(crate) fn record_admitted(&self, model: &str) {
         self.registry.counter_add(metric::ADMITTED, model, 1);
-        self.with_local(model, |l| {
-            l.first_admit.get_or_insert_with(Instant::now);
+        self.with_window(model, |w| {
+            w.first_admit.get_or_insert_with(Instant::now);
         });
     }
 
@@ -262,9 +250,9 @@ impl Stats {
         self.registry.counter_add(metric::COMPLETED, model, 1);
         self.registry
             .histogram_record(metric::LATENCY_US, model, &self.latency_bounds, latency_us);
-        self.with_local(model, |l| {
-            l.last_done = Some(Instant::now());
-            l.push_latency(latency_us);
+        self.with_window(model, |w| {
+            w.last_done = Some(Instant::now());
+            w.completed += 1;
         });
     }
 
@@ -292,14 +280,14 @@ impl Stats {
     }
 
     /// Total worker restarts so far (engine-wide).
-    pub fn worker_restarts(&self) -> u64 {
+    pub(crate) fn worker_restarts(&self) -> u64 {
         self.registry
             .snapshot()
             .counter(metric::WORKER_RESTARTS, "engine")
     }
 
     /// Total worker panics so far (engine-wide).
-    pub fn worker_panics(&self) -> u64 {
+    pub(crate) fn worker_panics(&self) -> u64 {
         self.registry
             .snapshot()
             .counter(metric::WORKER_PANICS, "engine")
@@ -310,82 +298,29 @@ impl Stats {
         self.registry.counter_add(name, "engine", 1);
     }
 
-    /// Snapshot one model's stats (zeroed snapshot for an unknown name).
-    pub fn snapshot(&self, model: &str) -> StatsSnapshot {
-        let reg = self.registry.snapshot();
-        // Legacy batch histogram shape: buckets 0..=max_batch with
-        // oversized batches clamped into the last bucket.
-        let mut batch_hist = vec![0u64; self.max_batch + 1];
-        if let Some(h) = reg.histogram(metric::BATCH_SIZE, model) {
-            for (b, &c) in h.counts().iter().enumerate() {
-                batch_hist[b.min(self.max_batch)] += c;
-            }
-        }
-        let (sorted, window) = self.with_local(model, |l| {
-            let mut sorted = l.latencies_us.clone();
-            sorted.sort_unstable();
-            let window = match (l.first_admit, l.last_done) {
-                (Some(a), Some(b)) => b.duration_since(a).as_secs_f64(),
-                _ => 0.0,
-            };
-            (sorted, window)
-        });
-        let pct = |q: f64| -> u64 {
-            if sorted.is_empty() {
-                0
-            } else {
-                sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-            }
-        };
-        let completed = reg.counter(metric::COMPLETED, model);
-        StatsSnapshot {
-            model: model.to_string(),
-            admitted: reg.counter(metric::ADMITTED, model),
-            completed,
-            failed: reg.counter(metric::FAILED, model),
-            shed: reg.counter(metric::SHED, model),
-            expired: reg.counter(metric::EXPIRED, model),
-            batches: reg.counter(metric::BATCHES, model),
-            batch_hist,
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
-            p99_us: pct(0.99),
-            max_us: sorted.last().copied().unwrap_or(0),
-            qps: if window > 0.0 {
-                completed as f64 / window
-            } else {
-                0.0
-            },
-        }
+    /// Completed requests per second over one model's active window
+    /// (first admission → last completion); 0 before any completion.
+    pub(crate) fn qps(&self, model: &str) -> f64 {
+        self.with_window(model, |w| match (w.first_admit, w.last_done) {
+            (Some(a), Some(b)) if b > a => w.completed as f64 / b.duration_since(a).as_secs_f64(),
+            _ => 0.0,
+        })
     }
 
-    /// Snapshots of every model seen so far, sorted by name.
-    pub fn all(&self) -> Vec<StatsSnapshot> {
-        let reg = self.registry.snapshot();
-        let mut names: Vec<String> = reg
-            .entries
-            .iter()
-            // Engine-wide counters (worker supervision, chaos injection,
-            // execution-backend tallies) carry a pseudo label ("engine"
-            // or the execution name), not a model name.
-            .filter(|e| {
-                e.name.starts_with("serve.")
-                    && !e.name.starts_with("serve.worker")
-                    && !e.name.starts_with("serve.chaos")
-                    && !e.name.starts_with("serve.execution")
-            })
-            .map(|e| e.label.clone())
-            .collect();
-        names.extend(self.local.lock().expect("stats lock").keys().cloned());
-        names.sort();
-        names.dedup();
-        names.iter().map(|n| self.snapshot(n)).collect()
+    /// Snapshot one model's stats (zeroed snapshot for an unknown name).
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self, model: &str) -> StatsSnapshot {
+        let max_batch = self.batch_bounds.len() - 1;
+        let mut snap = StatsSnapshot::from_telemetry(&self.telemetry_snapshot(), model, max_batch);
+        snap.qps = self.qps(model);
+        snap
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counters_and_percentiles() {
@@ -407,24 +342,12 @@ mod tests {
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.batch_hist[4], 2);
         assert_eq!(snap.batch_hist[8], 1);
-        // round((100-1) * 0.5) = 50 → sorted[50] = 510 µs
-        assert_eq!(snap.p50_us, 510);
-        assert!(snap.p99_us >= 980 && snap.p99_us <= 1000);
-        assert_eq!(snap.max_us, 1000);
+        // Rank 50 is 500 µs, in the (496, 512] bucket; rank 99 is 990 µs,
+        // in (960, 992]; the max 1000 µs is in (992, 1024].
+        assert_eq!(snap.p50_us, 512);
+        assert_eq!(snap.p99_us, 992);
+        assert_eq!(snap.max_us, 1024);
         assert!((snap.mean_batch() - (4 + 4 + 8) as f64 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_ring_is_bounded() {
-        let s = Stats::new(4);
-        for i in 0..(LATENCY_RING as u64 + 100) {
-            s.record_completed("m", i);
-        }
-        let snap = s.snapshot("m");
-        assert_eq!(snap.completed, LATENCY_RING as u64 + 100);
-        // The oldest samples were overwritten: the minimum surviving
-        // latency is at least 100.
-        assert!(snap.p50_us >= 100);
     }
 
     #[test]
@@ -437,10 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_percentiles_on_fixed_1000_sample_input() {
-        // Satellite acceptance: latencies 1..=1000 µs in scrambled insert
-        // order; under `sorted[round((n-1)·q)]`, p50 = sorted[500] = 501,
-        // p95 = sorted[949] = 950, p99 = sorted[989] = 990.
+    fn percentiles_on_fixed_1000_sample_input() {
+        // Latencies 1..=1000 µs in scrambled insert order. Ranks 500, 950
+        // and 990 (and the max) are read as the upper bounds of their
+        // log-linear buckets (496, 512], (928, 960], (960, 992] and
+        // (992, 1024].
         let s = Stats::new(4);
         for i in 0..1000u64 {
             let scrambled = (i * 617) % 1000 + 1; // 617 ⊥ 1000 → permutation
@@ -448,10 +372,10 @@ mod tests {
         }
         let snap = s.snapshot("m");
         assert_eq!(snap.completed, 1000);
-        assert_eq!(snap.p50_us, 501);
-        assert_eq!(snap.p95_us, 950);
-        assert_eq!(snap.p99_us, 990);
-        assert_eq!(snap.max_us, 1000);
+        assert_eq!(snap.p50_us, 512);
+        assert_eq!(snap.p95_us, 960);
+        assert_eq!(snap.p99_us, 992);
+        assert_eq!(snap.max_us, 1024);
     }
 
     #[test]
@@ -501,13 +425,12 @@ mod tests {
         let from_merged = StatsSnapshot::from_telemetry(&merged, "m", 8);
         let from_single = StatsSnapshot::from_telemetry(&single.telemetry_snapshot(), "m", 8);
         assert_eq!(from_merged, from_single, "merged ≡ single-shard");
-        // Pin the bucketed values for 1..=1000 under exponential bounds
-        // 1,2,4,…: rank 500 is covered at bound 512; ranks 950/990 and
-        // the max land in the 1024 bucket.
+        // Pin the bucketed values for 1..=1000, as in
+        // `percentiles_on_fixed_1000_sample_input`.
         assert_eq!(from_single.completed, 1000);
         assert_eq!(from_single.p50_us, 512);
-        assert_eq!(from_single.p95_us, 1024);
-        assert_eq!(from_single.p99_us, 1024);
+        assert_eq!(from_single.p95_us, 960);
+        assert_eq!(from_single.p99_us, 992);
         assert_eq!(from_single.max_us, 1024);
     }
 
@@ -549,12 +472,58 @@ mod tests {
         assert_eq!(histogram_quantile(&h, 1.0), 40);
     }
 
-    #[test]
-    fn all_lists_shed_only_models() {
-        let s = Stats::new(4);
-        s.record_shed("overloaded");
-        s.record_completed("ok", 10);
-        let names: Vec<String> = s.all().into_iter().map(|x| x.model).collect();
-        assert_eq!(names, vec!["ok".to_string(), "overloaded".to_string()]);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every reported percentile is at least the exact
+        /// `ceil(q·n)`-th smallest sample and less than
+        /// `1 + 2^-LATENCY_SUB_BITS` times it, and splitting the samples
+        /// over 1/2/4/8 collectors and merging reports the same snapshot
+        /// as one collector.
+        #[test]
+        fn percentiles_bound_their_samples_and_merge_across_shards(
+            raw in proptest::collection::vec((1u64..=10_000_000, 0u32..24), 1..400),
+        ) {
+            // Shifted draws spread the samples over every octave of the
+            // range, not just its top.
+            let samples: Vec<u64> = raw.iter().map(|&(v, s)| (v >> s).max(1)).collect();
+            let single = Stats::new(8);
+            for &v in &samples {
+                single.record_completed("m", v);
+            }
+            let snap = StatsSnapshot::from_telemetry(&single.telemetry_snapshot(), "m", 8);
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let n = sorted.len();
+            let bound = 1.0 + (-(LATENCY_SUB_BITS as f64)).exp2();
+            for (q, got) in [
+                (0.5, snap.p50_us),
+                (0.95, snap.p95_us),
+                (0.99, snap.p99_us),
+                (1.0, snap.max_us),
+            ] {
+                let exact = sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+                prop_assert!(
+                    got >= exact && (got as f64) < exact as f64 * bound,
+                    "q={} reported {} for exact {}", q, got, exact
+                );
+            }
+            for shards in [1usize, 2, 4, 8] {
+                let parts: Vec<Stats> = (0..shards).map(|_| Stats::new(8)).collect();
+                for (i, &v) in samples.iter().enumerate() {
+                    parts[i % shards].record_completed("m", v);
+                }
+                let merged = parts
+                    .iter()
+                    .map(Stats::telemetry_snapshot)
+                    .reduce(|acc, s| acc.merged(&s))
+                    .expect("at least one shard");
+                prop_assert_eq!(
+                    &StatsSnapshot::from_telemetry(&merged, "m", 8),
+                    &snap,
+                    "{} shards drifted", shards
+                );
+            }
+        }
     }
 }

@@ -256,28 +256,27 @@ impl Histogram {
         }
     }
 
-    /// Linear bounds `step, 2*step, ..., n*step`.
+    /// Log-linear (HDR-style) bounds from 1 up to the first bound `>= max`:
+    /// every integer up to `2^(sub_bits + 1)`, then `2^sub_bits`
+    /// equal-width buckets per octave. A sample `v >= 1` at or below the
+    /// last bound lands in a bucket whose upper bound is less than
+    /// `v * (1 + 2^-sub_bits)`.
     ///
     /// # Panics
     ///
-    /// Panics when `step` is 0 or `n` is 0.
+    /// Panics when `sub_bits >= 64`.
     #[must_use]
-    pub fn linear_bounds(step: u64, n: usize) -> Vec<u64> {
-        assert!(step > 0 && n > 0, "linear bounds need step > 0 and n > 0");
-        (1..=n as u64).map(|i| i * step).collect()
-    }
-
-    /// Exponential bounds `start, start*2, start*4, ...` (`n` bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `start` is 0 or `n` is 0.
-    #[must_use]
-    pub fn exponential_bounds(start: u64, n: usize) -> Vec<u64> {
-        assert!(start > 0 && n > 0, "exp bounds need start > 0 and n > 0");
-        (0..n as u32)
-            .map(|i| start.saturating_mul(1u64 << i.min(63)))
-            .collect()
+    pub fn log_linear_bounds(sub_bits: u32, max: u64) -> Vec<u64> {
+        assert!(sub_bits < 64, "log-linear bounds need sub_bits < 64");
+        let mut bounds = vec![1u64];
+        let mut b = 1u64;
+        while b < max {
+            // The bucket width of b's octave: 2^(floor(log2 b) - sub_bits).
+            let width = ((1u64 << b.ilog2()) >> sub_bits).max(1);
+            b = b.saturating_add(width);
+            bounds.push(b);
+        }
+        bounds
     }
 
     /// Reassemble a histogram from stored bounds and bucket counts
@@ -299,11 +298,9 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
+        // The first bucket whose bound is >= v; past the last bound, the
+        // overflow bucket.
+        let idx = self.bounds.partition_point(|&b| b < v);
         self.counts[idx] = self.counts[idx].saturating_add(1);
     }
 
@@ -908,6 +905,37 @@ mod tests {
         }
         assert_eq!(h.counts(), &[2, 2, 2, 2]);
         assert_eq!(h.total(), 8);
+    }
+
+    #[test]
+    fn log_linear_bounds_are_pinned_and_record_matches_a_linear_scan() {
+        let top = 1u64 << 27;
+        let bounds = Histogram::log_linear_bounds(4, top);
+        // Width 1 up to 32, then 16 buckets per octave: 34, 36, ..., 64,
+        // 68, 72, ...
+        let head: Vec<u64> = (1..=32)
+            .chain((34..=64).step_by(2))
+            .chain([68, 72])
+            .collect();
+        assert_eq!(&bounds[..head.len()], &head[..]);
+        assert_eq!(bounds.last(), Some(&top));
+        assert_eq!(bounds.len(), 32 + 22 * 16);
+
+        let mut h = Histogram::new(&bounds);
+        let mut want = vec![0u64; bounds.len() + 1];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let edges = [0, 1, 16, 17, 32, 33, 34, 35, top, top + 1, u64::MAX];
+        let draws = (0..2000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x >> (x % 40 + 24)
+        });
+        for v in edges.into_iter().chain(draws) {
+            h.record(v);
+            want[bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())] += 1;
+        }
+        assert_eq!(h.counts(), &want[..]);
     }
 
     #[test]

@@ -11,12 +11,11 @@
 use csp_runtime::with_threads;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, Engine, Execution, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
-    ShardPolicy, ShardedEngine, ShardedServer,
+    BatchPolicy, Execution, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy,
+    ShardedEngine, ShardedServer,
 };
 use csp_tensor::Tensor;
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -104,18 +103,18 @@ proptest! {
         let reference = serial_reference(spec, &artifact, &samples);
 
         for workers in POOL_SIZES {
-            let registry = Arc::new(ModelRegistry::new());
-            registry.load_from_bytes("m", spec, &artifact).expect("load");
-            let engine = Engine::start(
-                registry,
-                BatchPolicy {
+            let engine = ShardedEngine::start(ShardPolicy {
+                shards: 1,
+                workers,
+                batch: BatchPolicy {
                     max_batch: 8,
                     max_wait: Duration::from_millis(20),
                     queue_cap: 64,
                 },
-                workers,
-            )
+                ..ShardPolicy::default()
+            })
             .expect("engine");
+            engine.deploy("m", spec, &artifact).expect("deploy");
             let client = engine.client();
             let handles: Vec<_> = samples
                 .iter()
@@ -152,20 +151,18 @@ fn hot_swap_never_mixes_versions() {
     let ref_v1 = serial_reference(spec, &art_v1, &samples);
     let ref_v2 = serial_reference(spec, &art_v2, &samples);
 
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .load_from_bytes("m", spec, &art_v1)
-        .expect("load v1");
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        BatchPolicy {
+    let engine = ShardedEngine::start(ShardPolicy {
+        shards: 1,
+        workers: 2,
+        batch: BatchPolicy {
             max_batch: 4,
             max_wait: Duration::from_millis(1),
             queue_cap: 256,
         },
-        2,
-    )
+        ..ShardPolicy::default()
+    })
     .expect("engine");
+    engine.deploy("m", spec, &art_v1).expect("load v1");
     let client = engine.client();
 
     let mut clients = Vec::new();
@@ -173,20 +170,25 @@ fn hot_swap_never_mixes_versions() {
         let c = client.clone();
         let samples = samples.clone();
         clients.push(std::thread::spawn(move || {
+            // At least 30 requests, then on until the swapped-in version
+            // answers, so the swap lands mid-stream however fast the
+            // engine runs (bounded in case it never does).
             let mut seen = Vec::new();
-            for round in 0..30usize {
+            for round in 0..10_000usize {
                 let idx = (t + round) % samples.len();
                 let reply = c.infer("m", &samples[idx], None).expect("infer");
+                let swapped = reply.model_version == 2;
                 seen.push((idx, reply));
+                if round >= 30 && swapped {
+                    break;
+                }
             }
             seen
         }));
     }
     // Swap mid-stream.
     std::thread::sleep(Duration::from_millis(5));
-    registry
-        .load_from_bytes("m", spec, &art_v2)
-        .expect("swap to v2");
+    engine.deploy("m", spec, &art_v2).expect("swap to v2");
 
     let mut versions_seen = std::collections::BTreeSet::new();
     for h in clients {

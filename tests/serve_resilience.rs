@@ -15,9 +15,7 @@
 
 use csp_serve::protocol::{AnyRequest, RequestV2};
 use csp_serve::testutil::{prune_to_artifact, sample_input};
-use csp_serve::{
-    BatchPolicy, ChaosSession, Engine, HealthState, ModelRegistry, ModelSpec, RetryPolicy,
-};
+use csp_serve::{ChaosSession, HealthState, ModelSpec, RetryPolicy, ShardPolicy, ShardedEngine};
 use csp_sim::{FaultClass, FaultPlan};
 use csp_tensor::{CspError, Tensor};
 use proptest::prelude::*;
@@ -25,6 +23,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
+
+/// One engine shard of `workers` workers on the default batch policy.
+fn one_shard(workers: usize) -> ShardPolicy {
+    ShardPolicy {
+        shards: 1,
+        workers,
+        ..ShardPolicy::default()
+    }
+}
 
 fn request_sample(spec: ModelSpec, seed: u64) -> Tensor {
     let x = sample_input(spec, seed, 1);
@@ -97,11 +104,10 @@ proptest! {
 #[test]
 fn retry_never_double_executes() {
     let spec = ModelSpec::default();
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .load_from_bytes("m", spec, &prune_to_artifact(spec, 0.8))
+    let engine = ShardedEngine::start(one_shard(2)).expect("engine");
+    engine
+        .deploy("m", spec, &prune_to_artifact(spec, 0.8))
         .expect("load");
-    let engine = Engine::start(registry, BatchPolicy::default(), 2).expect("engine");
     let client = engine.client();
     let x = request_sample(spec, 7);
 
@@ -149,17 +155,13 @@ fn engine_survives_worker_panics_at_every_pool_size() {
     }));
 
     for workers in POOL_SIZES {
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .load_from_bytes("m", spec, &artifact)
-            .expect("load");
         let chaos = Arc::new(ChaosSession::new(
             FaultPlan::bernoulli(0.5, 40 + workers as u64).with_classes(&[FaultClass::WorkerPanic]),
             Duration::ZERO,
         ));
         let engine =
-            Engine::start_with_chaos(registry, BatchPolicy::default(), workers, Some(chaos))
-                .expect("engine");
+            ShardedEngine::start_with_chaos(one_shard(workers), Some(chaos)).expect("engine");
+        engine.deploy("m", spec, &artifact).expect("load");
         let client = engine.client();
 
         let mut ok = 0u64;
