@@ -14,6 +14,13 @@
 //! speedup over scalar, bitwise identity, and the max ULP distance (the
 //! FMA backend is allowed a documented bound; all others must be 0).
 //!
+//! An execution matrix times dense against weaved sparse execution: a
+//! synthetic `x · W` GEMM at three structured-sparsity points, and the
+//! served zoo conv layers (pruned at q = 1.0) in both orientations — the
+//! IpOS `Wᵀ · cols` that `Conv2d` runs and the retired `colsᵀ · W` —
+//! against the `W · cols` product dense `conv2d` runs. Every f32 weaved
+//! cell must match dense bit for bit.
+//!
 //! ```text
 //! kernel_bench [--smoke] [--json] [--threads N] [--out PATH] [--telemetry] [--backend NAME]
 //! ```
@@ -31,9 +38,14 @@ use csp_core::nn::{
     seeded_rng, train_classifier, Conv2d, EpochStats, Flatten, Linear, MaxPool, Relu, Sequential,
     Sgd, TrainOptions,
 };
-use csp_core::tensor::{conv2d, matmul, matmul_reference, uniform, Conv2dSpec, Tensor};
+use csp_core::tensor::{
+    conv2d, im2col, matmul, matmul_reference, relu, uniform, Conv2dSpec, Tensor,
+};
+use csp_core::ModelFamily;
 use csp_pruning::{ChunkedLayout, CspMask, Weaved};
 use csp_runtime::with_threads;
+use csp_serve::testutil::prune_to_artifact;
+use csp_serve::ModelSpec;
 use csp_sparse::{PreparedWeaved, PreparedWeavedInt8};
 use csp_tensor::{with_backend, CpuFeatures, KernelBackend};
 use std::process::ExitCode;
@@ -311,14 +323,30 @@ fn bench_backend_matrix(c: &mut Criterion, smoke: bool) -> Vec<BackendCell> {
 /// (fused quantized early-stop) — all single-thread, compared against
 /// the dense product under the same backend.
 struct ExecutionCell {
+    /// `synthetic`, or the zoo conv layer and its input side.
+    shape: String,
     execution: &'static str,
+    /// Product orientation: `xw` is `x · W` (`colsᵀ · W` on a conv), `wt`
+    /// is `Wᵀ · cols` (dense: `W_flat · cols`, what `conv2d` runs).
+    op: &'static str,
     backend: &'static str,
+    /// The product's `m x k x n`.
     dims: String,
     sparsity: f64,
+    /// Seconds per product (per image on the conv rows).
     serial_s: f64,
     speedup_vs_dense: f64,
     bit_identical: bool,
     max_ulp: u64,
+}
+
+fn max_ulp(a: &Tensor, b: &Tensor) -> u64 {
+    a.as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(&x, &y)| ulp_distance(x, y))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Build one weaved GEMM problem at roughly `keep` surviving weight
@@ -384,7 +412,9 @@ fn bench_execution_matrix(c: &mut Criterion, smoke: bool) -> Vec<ExecutionCell> 
                 time_at(c, 1, || matmul(&x, &dense).expect("dense gemm"))
             });
             cells.push(ExecutionCell {
+                shape: "synthetic".into(),
                 execution: "dense",
+                op: "xw",
                 backend: backend.name(),
                 dims: dims.clone(),
                 sparsity,
@@ -397,26 +427,17 @@ fn bench_execution_matrix(c: &mut Criterion, smoke: bool) -> Vec<ExecutionCell> 
             let weaved_s = with_backend(backend, || {
                 time_at(c, 1, || prep.gemm_xw(&x).expect("weaved gemm"))
             });
-            let max_ulp = weaved_out
-                .as_slice()
-                .iter()
-                .zip(dense_out.as_slice())
-                .map(|(&a, &b)| ulp_distance(a, b))
-                .max()
-                .unwrap_or(0);
             cells.push(ExecutionCell {
+                shape: "synthetic".into(),
                 execution: "weaved",
+                op: "xw",
                 backend: backend.name(),
                 dims: dims.clone(),
                 sparsity,
                 serial_s: weaved_s,
-                speedup_vs_dense: if weaved_s > 0.0 {
-                    dense_s / weaved_s
-                } else {
-                    0.0
-                },
+                speedup_vs_dense: ratio(dense_s, weaved_s),
                 bit_identical: bits(&weaved_out) == bits(&dense_out),
-                max_ulp,
+                max_ulp: max_ulp(&weaved_out, &dense_out),
             });
         }
         // Scalar dense run is the int8 baseline (first backend in the
@@ -429,23 +450,147 @@ fn bench_execution_matrix(c: &mut Criterion, smoke: bool) -> Vec<ExecutionCell> 
         });
         let int8_out = prep8.gemm_xw(&x).expect("weaved-int8 gemm");
         let int8_s = time_at(c, 1, || prep8.gemm_xw(&x).expect("weaved-int8 gemm"));
-        let max_ulp = int8_out
-            .as_slice()
-            .iter()
-            .zip(dense_out.as_slice())
-            .map(|(&a, &b)| ulp_distance(a, b))
-            .max()
-            .unwrap_or(0);
         cells.push(ExecutionCell {
+            shape: "synthetic".into(),
             execution: "weaved-int8",
+            op: "xw",
             backend: "scalar",
             dims: dims.clone(),
             sparsity,
             serial_s: int8_s,
-            speedup_vs_dense: if int8_s > 0.0 { dense_s / int8_s } else { 0.0 },
+            speedup_vs_dense: ratio(dense_s, int8_s),
             bit_identical: false, // quantized: bounded error, not bitwise
-            max_ulp,
+            max_ulp: max_ulp(&int8_out, &dense_out),
         });
+    }
+    cells.extend(bench_zoo_convs(c, smoke));
+    cells
+}
+
+fn ratio(base_s: f64, s: f64) -> f64 {
+    if s > 0.0 {
+        base_s / s
+    } else {
+        0.0
+    }
+}
+
+/// Zoo conv layers the heavy-weaved workload serves: family, layer label,
+/// input side.
+const ZOO_CONVS: [(ModelFamily, &str, usize); 3] = [
+    (ModelFamily::ResNet, "conv2d(12->12,k3)", 8),
+    (ModelFamily::Vgg, "conv2d(8->16,k3)", 4),
+    (ModelFamily::Vgg, "conv2d(16->16,k3)", 4),
+];
+
+/// Images per timed pass: one served batch.
+const CONV_BATCH: usize = 8;
+
+/// The served conv shapes at q = 1.0, one batch of ReLU'd images per
+/// pass, under every bit-identity-eligible backend: dense `W_flat · cols`
+/// (what `conv2d` runs), weaved `gemm_wt` (what `Conv2d` runs), and
+/// weaved `gemm_xw` on `colsᵀ` (the orientation `Conv2d` ran before).
+/// Both weaved cells are bit-compared against dense.
+fn bench_zoo_convs(c: &mut Criterion, smoke: bool) -> Vec<ExecutionCell> {
+    let (shapes, passes) = if smoke {
+        (&ZOO_CONVS[2..], 4)
+    } else {
+        (&ZOO_CONVS[..], 64)
+    };
+    let per_image = (CONV_BATCH * passes) as f64;
+    let mut cells = Vec::new();
+    for &(family, label, side) in shapes {
+        let spec = ModelSpec {
+            family,
+            ..ModelSpec::default()
+        };
+        let layers = csp_io::decode_weaved_model(&prune_to_artifact(spec, 1.0)).expect("artifact");
+        let weaved = &layers
+            .iter()
+            .find(|(l, _)| l == label)
+            .expect("zoo conv layer")
+            .1;
+        let (m, c_out) = (weaved.layout.m(), weaved.layout.c_out());
+        let w_flat = weaved.decompress().transpose().expect("W_flat");
+        let prep = PreparedWeaved::new(weaved).expect("prepare weaved");
+        let mut rng = seeded_rng(41);
+        let cols: Vec<Tensor> = (0..CONV_BATCH)
+            .map(|_| {
+                let x = relu(&uniform(&mut rng, &[m / 9, side, side], 1.0));
+                im2col(&x, Conv2dSpec::new(3, 1, 1)).expect("im2col")
+            })
+            .collect();
+        let cols_t: Vec<Tensor> = cols.iter().map(|t| t.transpose().expect("colsᵀ")).collect();
+        let shape = format!("{} {label} {side}x{side}", family.name());
+        let dims = format!("{c_out}x{m}x{}", side * side);
+        let sparsity = 1.0 - weaved.nnz() as f64 / (m * c_out) as f64;
+        for backend in KernelBackend::supported_backends() {
+            if !backend.bit_identical_to_scalar() {
+                continue;
+            }
+            // One pass over the batch, `passes` times per timed call.
+            let time = |c: &mut Criterion, f: &dyn Fn(&Tensor) -> Tensor, ops: &[Tensor]| {
+                let s = with_backend(backend, || {
+                    time_at(c, 1, || {
+                        for _ in 0..passes {
+                            ops.iter().for_each(|o| {
+                                black_box(f(o));
+                            });
+                        }
+                    })
+                });
+                s / per_image
+            };
+            let dense = |o: &Tensor| matmul(&w_flat, o).expect("dense W·cols");
+            let wt = |o: &Tensor| prep.gemm_wt(o).expect("weaved gemm_wt");
+            let xw = |o: &Tensor| prep.gemm_xw(o).expect("weaved gemm_xw");
+            let dense_s = time(c, &dense, &cols);
+            let want: Vec<Tensor> = with_backend(backend, || cols.iter().map(dense).collect());
+            cells.push(ExecutionCell {
+                shape: shape.clone(),
+                execution: "dense",
+                op: "wt",
+                backend: backend.name(),
+                dims: dims.clone(),
+                sparsity,
+                serial_s: dense_s,
+                speedup_vs_dense: 1.0,
+                bit_identical: true,
+                max_ulp: 0,
+            });
+            for (op, f, ops) in [
+                ("wt", &wt as &dyn Fn(&Tensor) -> Tensor, &cols),
+                ("xw", &xw, &cols_t),
+            ] {
+                // `gemm_xw` on `colsᵀ` returns the product transposed.
+                let got: Vec<Tensor> = with_backend(backend, || {
+                    ops.iter()
+                        .map(|o| match op {
+                            "xw" => f(o).transpose().expect("(colsᵀ·W)ᵀ"),
+                            _ => f(o),
+                        })
+                        .collect()
+                });
+                let s = time(c, f, ops);
+                cells.push(ExecutionCell {
+                    shape: shape.clone(),
+                    execution: "weaved",
+                    op,
+                    backend: backend.name(),
+                    dims: dims.clone(),
+                    sparsity,
+                    serial_s: s,
+                    speedup_vs_dense: ratio(dense_s, s),
+                    bit_identical: got.iter().zip(&want).all(|(g, w)| bits(g) == bits(w)),
+                    max_ulp: got
+                        .iter()
+                        .zip(&want)
+                        .map(|(g, w)| max_ulp(g, w))
+                        .max()
+                        .unwrap_or(0),
+                });
+            }
+        }
     }
     cells
 }
@@ -475,7 +620,7 @@ fn write_json(
         .unwrap_or(1);
     let cpu = CpuFeatures::detect();
     let mut body = String::from("{\n");
-    body.push_str("  \"schema\": \"csp-bench/kernels/v4\",\n");
+    body.push_str("  \"schema\": \"csp-bench/kernels/v5\",\n");
     body.push_str(&format!("  \"smoke\": {},\n", run.smoke));
     body.push_str(&format!("  \"host_threads\": {host},\n"));
     body.push_str(&format!("  \"parallel_threads\": {},\n", run.threads));
@@ -516,10 +661,12 @@ fn write_json(
     body.push_str("  \"execution_matrix\": [\n");
     for (i, cell) in exec_cells.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"execution\": \"{}\", \"backend\": \"{}\", \"dims\": \"{}\", \
-             \"sparsity\": {:.4}, \"serial_s\": {:.6}, \"speedup_vs_dense\": {:.3}, \
-             \"bit_identical\": {}, \"max_ulp\": {}}}{}\n",
+            "    {{\"shape\": \"{}\", \"execution\": \"{}\", \"op\": \"{}\", \
+             \"backend\": \"{}\", \"dims\": \"{}\", \"sparsity\": {:.4}, \"serial_s\": {:.9}, \
+             \"speedup_vs_dense\": {:.3}, \"bit_identical\": {}, \"max_ulp\": {}}}{}\n",
+            json_escape(&cell.shape),
             cell.execution,
+            cell.op,
             cell.backend,
             json_escape(&cell.dims),
             cell.sparsity,
@@ -659,9 +806,17 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "\nexecution matrix (single thread, dense vs weaved early-stop)\n\
-         {:<12} {:<8} {:<14} {:>9} {:>12} {:>10} {:>8}  bit-identical",
-        "execution", "backend", "dims", "sparsity", "serial(ms)", "vs dense", "max_ulp"
+        "\nexecution matrix (single thread, dense vs weaved early-stop; conv rows per image)\n\
+         {:<32} {:<12} {:<3} {:<8} {:<14} {:>9} {:>12} {:>10} {:>8}  bit-identical",
+        "shape",
+        "execution",
+        "op",
+        "backend",
+        "dims",
+        "sparsity",
+        "serial(ms)",
+        "vs dense",
+        "max_ulp"
     );
     for cell in &exec_cells {
         // The f32 weaved engine carries the same bit-identity contract
@@ -671,8 +826,10 @@ fn main() -> ExitCode {
             all_identical &= cell.bit_identical;
         }
         println!(
-            "{:<12} {:<8} {:<14} {:>8.1}% {:>12.3} {:>9.2}x {:>8}  {}",
+            "{:<32} {:<12} {:<3} {:<8} {:<14} {:>8.1}% {:>12.4} {:>9.2}x {:>8}  {}",
+            cell.shape,
             cell.execution,
+            cell.op,
             cell.backend,
             cell.dims,
             cell.sparsity * 100.0,

@@ -258,19 +258,17 @@ impl Conv2d {
 
     fn one(&self, x: &Tensor, exec: Option<&SharedGemm>) -> Result<Tensor> {
         let mut y = match exec {
-            // Executor path: the convolution is the same flattened-matrix
-            // product the dense path lowers to — `W_flat · cols` equals
-            // `(cols·ᵀ applied to the M×c_out view)ᵀ`, and transposes are
-            // pure data movement, so per output element the rounded
-            // mul/add stream is exactly the dense one.
+            // Executor path: `Wᵀ · cols` on the `M × c_out` view is the
+            // `W_flat · cols` product dense `conv2d` lowers to, in the same
+            // `(c_out, P)` orientation, so per output element the engine
+            // can replay the dense ascending-`m` mul/add stream.
             Some(e) => {
-                let cols = im2col(x, self.spec)?; // (M, P)
-                let prod = e.gemm_xw(&cols.transpose()?)?; // (P, c_out)
                 let (oh, ow) = (
                     self.spec.out_dim(x.dims()[1]),
                     self.spec.out_dim(x.dims()[2]),
                 );
-                prod.transpose()?.reshape(&[self.c_out(), oh, ow])?
+                e.gemm_wt(&im2col(x, self.spec)?)?
+                    .reshape(&[self.c_out(), oh, ow])?
             }
             None => conv2d(x, &self.weight, self.spec)?,
         };
@@ -336,14 +334,12 @@ impl Layer for Conv2d {
             self.one(&xi, exec)
         });
         let mut data = Vec::with_capacity(x.len());
-        let mut od = Vec::new();
         for o in outs {
-            let o = o?;
-            od = o.dims().to_vec();
-            data.extend_from_slice(o.as_slice());
+            data.extend_from_slice(o?.as_slice());
         }
         self.cache_x = train.then(|| x.clone());
-        Tensor::from_vec(data, &[n, od[0], od[1], od[2]])
+        let (oh, ow) = (self.spec.out_dim(per[1]), self.spec.out_dim(per[2]));
+        Tensor::from_vec(data, &[n, self.c_out(), oh, ow])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -545,8 +541,8 @@ impl Layer for MaxPool {
             outs.push(y);
             args.push(a);
         }
-        let od = outs[0].dims().to_vec();
-        let mut data = Vec::with_capacity(n * outs[0].len());
+        let od = [per[0], spec.out_dim(per[1]), spec.out_dim(per[2])];
+        let mut data = Vec::with_capacity(n * od.iter().product::<usize>());
         for o in &outs {
             data.extend_from_slice(o.as_slice());
         }
@@ -618,8 +614,8 @@ impl Layer for AvgPool {
             })
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
-        let od = outs[0].dims().to_vec();
-        let mut data = Vec::with_capacity(n * outs[0].len());
+        let od = [per[0], spec.out_dim(per[1]), spec.out_dim(per[2])];
+        let mut data = Vec::with_capacity(n * od.iter().product::<usize>());
         for o in &outs {
             data.extend_from_slice(o.as_slice());
         }

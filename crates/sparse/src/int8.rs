@@ -5,8 +5,8 @@
 //!
 //! Weights are quantized once at preparation with a per-layer symmetric
 //! [`QuantSpec`] (`q = clamp(round(v / s_w))`, `|q| ≤ 128`); activations
-//! are calibrated **per batch row** with their own spec `s_x` — a row's
-//! scale depends only on that row, so a served reply can never change
+//! are calibrated **per sample** with their own spec `s_x` — a sample's
+//! scale depends only on that sample, so a served reply can never change
 //! with the composition of the batch it was coalesced into (the serving
 //! tier's batched ≡ serial rule). The inner loop is
 //! pure integer: `acc[j] += q_x[p] · q_w[p][j]` in `i32`, walking the
@@ -14,6 +14,14 @@
 //! exact, so the result is trivially identical for every backend and
 //! pool width. Each output element is dequantized exactly once at the
 //! end: `out[j] = acc[j] as f32 · (s_x · s_w)`.
+//!
+//! Both orientations of the f32 engine are served. In `gemm_xw` a sample
+//! is a row of `x`; in `gemm_wt` (IpOS, `Conv2d`) it is a column of the
+//! im2col matrix — one output pixel's receptive field, i.e. a row of
+//! `colsᵀ` — and the `i32` accumulator row `acc[j, 0..P]` streams the
+//! quantized im2col rows of the f32 engine's IpOS spans. Same specs, same
+//! exact integer sums, same dequantizing multiply: `gemm_wt` returns
+//! bitwise `gemm_xw(colsᵀ)ᵀ`.
 //!
 //! `|q_x · q_w| ≤ 128² = 16384`, so `i32` accumulation cannot overflow
 //! for `M ≤ 131071`; preparation rejects larger layouts with a typed
@@ -38,7 +46,7 @@
 //! row. [`PreparedWeavedInt8::error_bound`] evaluates this for a concrete
 //! activation tensor, and the property tests assert it.
 
-use crate::engine::{prepare_groups, record_telemetry, Group};
+use crate::engine::{prepare_groups, record_telemetry, Group, IposPlan, BLOCK};
 use csp_nn::CspGemm;
 use csp_pruning::quant::{quant_error_bound, QuantSpec};
 use csp_pruning::Weaved;
@@ -61,6 +69,7 @@ pub struct PreparedWeavedInt8 {
     c_out: usize,
     qpayload: Vec<i8>,
     groups: Vec<Group>,
+    ipos: IposPlan<i8>,
     wspec: QuantSpec,
     max_abs_w: f32,
 }
@@ -90,7 +99,7 @@ impl PreparedWeavedInt8 {
         } else {
             QuantSpec::calibrate(&Tensor::from_vec(w.payload.clone(), &[w.payload.len()])?, 8)?
         };
-        let qpayload = w
+        let qpayload: Vec<i8> = w
             .payload
             .iter()
             .map(|&v| wspec.quantize_value(v) as i8)
@@ -98,6 +107,7 @@ impl PreparedWeavedInt8 {
         Ok(PreparedWeavedInt8 {
             m,
             c_out,
+            ipos: IposPlan::new(&qpayload, &groups, m, c_out),
             qpayload,
             groups,
             wspec,
@@ -231,6 +241,94 @@ impl PreparedWeavedInt8 {
         );
         Ok(out)
     }
+
+    /// Compute `Wᵀ · cols` (`cols` row-major `(M, P)`, one image's im2col
+    /// matrix → `(c_out, P)`) through the fused int8 path in the IpOS
+    /// orientation: quantize each column of `cols` with its own spec,
+    /// accumulate pure `i32` per output-channel row, dequantize once per
+    /// output element. Bitwise `gemm_xw(colsᵀ)ᵀ`, so identical for every
+    /// backend, pool width, and batch composition.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::IncompatibleShapes`] when `cols` is not
+    /// `(M, P)`.
+    pub fn gemm_wt(&self, cols: &Tensor) -> Result<Tensor, TensorError> {
+        if cols.rank() != 2 || cols.dims()[0] != self.m {
+            return Err(TensorError::IncompatibleShapes {
+                op: "weaved_int8_gemm_wt",
+                lhs: vec![self.m, self.c_out],
+                rhs: cols.dims().to_vec(),
+            });
+        }
+        let p = cols.dims()[1];
+        let mut out = Tensor::zeros(&[self.c_out, p]);
+        if p == 0 || self.c_out == 0 || self.m == 0 {
+            return Ok(out);
+        }
+        record_telemetry(
+            "weaved-int8",
+            KernelBackend::current(),
+            p,
+            self.m,
+            self.c_out,
+            self.qpayload.len(),
+        );
+        let cs = cols.as_slice();
+        // Per-column calibration: a column is one pixel's sample, the row
+        // `gemm_xw` would calibrate in `colsᵀ`, scanned in the same
+        // ascending-`p` order.
+        let mut max_col = vec![0.0f32; p];
+        for row in cs.chunks_exact(p) {
+            for (mx, &v) in max_col.iter_mut().zip(row) {
+                *mx = mx.max(v.abs());
+            }
+        }
+        let specs: Vec<QuantSpec> = max_col.into_iter().map(Self::activation_spec).collect();
+        let scales: Vec<f32> = specs.iter().map(|xs| xs.scale * self.wspec.scale).collect();
+        // |q| ≤ 128, so every product |q_x · q_w| ≤ 16384 fits an `i16`.
+        let qx: Vec<i16> = cs
+            .chunks_exact(p)
+            .flat_map(|row| {
+                row.iter()
+                    .zip(&specs)
+                    .map(|(&v, xs)| xs.quantize_value(v) as i16)
+            })
+            .collect();
+        let plan = &self.ipos;
+        let unit = (self.qpayload.len() / self.c_out).max(1) as u64;
+        Pool::current().for_each_chunk_mut_weighted(
+            out.as_mut_slice(),
+            ROW_CHUNK * p,
+            unit,
+            |_, elem_off, chunk| {
+                let b0 = elem_off / (BLOCK * p);
+                let mut acc = vec![0i32; p];
+                for (b, orows) in chunk.chunks_mut(BLOCK * p).enumerate() {
+                    let spans = plan.spans(b0 + b);
+                    for (q, orow) in orows.chunks_exact_mut(p).enumerate() {
+                        acc.fill(0);
+                        for s in spans {
+                            for (r, &wq) in plan.weights(s, q).iter().enumerate() {
+                                if wq == 0 {
+                                    continue;
+                                }
+                                let wq = i16::from(wq);
+                                let xrow = &qx[(s.p0 + r) * p..(s.p0 + r + 1) * p];
+                                for (a, &xq) in acc.iter_mut().zip(xrow) {
+                                    *a += i32::from(wq * xq);
+                                }
+                            }
+                        }
+                        for ((o, &a), &sc) in orow.iter_mut().zip(&acc).zip(&scales) {
+                            *o = a as f32 * sc;
+                        }
+                    }
+                }
+            },
+        );
+        Ok(out)
+    }
 }
 
 impl CspGemm for PreparedWeavedInt8 {
@@ -240,6 +338,10 @@ impl CspGemm for PreparedWeavedInt8 {
 
     fn gemm_xw(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         PreparedWeavedInt8::gemm_xw(self, x)
+    }
+
+    fn gemm_wt(&self, cols: &Tensor) -> Result<Tensor, TensorError> {
+        PreparedWeavedInt8::gemm_wt(self, cols)
     }
 
     fn describe(&self) -> String {

@@ -9,17 +9,24 @@
 //! stops there.
 //!
 //! Two engines are provided, both implementing the
-//! [`CspGemm`](csp_nn::CspGemm) layer hook:
+//! [`CspGemm`](csp_nn::CspGemm) layer hook in both of its orientations:
+//! `gemm_xw` (`x · W`, what `Linear` runs) and `gemm_wt` (`Wᵀ · cols` on
+//! one image's im2col matrix, what `Conv2d` runs — the paper's IpOS
+//! dataflow, with the output-channel rows as stationary accumulators
+//! and the im2col rows streaming past, each filter row stopping at its
+//! prefix):
 //!
 //! * [`PreparedWeaved`] — f32, **bit-identical** to running the dense
-//!   blocked GEMM on the decompressed weights, for every non-FMA
+//!   blocked GEMM on the decompressed weights in the same orientation,
+//!   for every non-FMA
 //!   [`KernelBackend`](csp_tensor::KernelBackend) and every runtime pool
 //!   width (see `engine` module docs for the IEEE-754 argument).
 //! * [`PreparedWeavedInt8`] — fused symmetric int8: weights quantized
-//!   once at preparation, activations per call, exact `i32` accumulation
-//!   (dequant-free inner loop) and one dequantizing multiply per output
-//!   element, within the documented
-//!   [`error_bound`](PreparedWeavedInt8::error_bound).
+//!   once at preparation, activations per sample, exact `i32`
+//!   accumulation (dequant-free inner loop) and one dequantizing multiply
+//!   per output element, within the documented
+//!   [`error_bound`](PreparedWeavedInt8::error_bound); its two
+//!   orientations are bitwise transposes of each other.
 //!
 //! Both validate their layout at construction
 //! ([`Weaved::validate`](csp_pruning::Weaved::validate) plus shape

@@ -8,17 +8,27 @@
 //! same weaved artifact, run one sample at a time under a single-thread
 //! kernel pool (exactly what the engine pins its workers to).
 
+use csp_core::ModelFamily;
 use csp_runtime::with_threads;
 use csp_serve::testutil::{prune_to_artifact, sample_input};
 use csp_serve::{
-    BatchPolicy, Execution, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy,
-    ShardedEngine, ShardedServer,
+    BatchPolicy, Execution, LoadedModel, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
+    ShardPolicy, ShardedEngine, ShardedServer,
 };
 use csp_tensor::Tensor;
 use proptest::prelude::*;
 use std::time::Duration;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
+
+/// Every zoo family the serving tier can load.
+const FAMILIES: [ModelFamily; 5] = [
+    ModelFamily::Basic,
+    ModelFamily::AlexNet,
+    ModelFamily::Vgg,
+    ModelFamily::ResNet,
+    ModelFamily::Inception,
+];
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -286,6 +296,73 @@ fn every_shard_replies_bit_identical_at_all_pool_widths() {
                 );
             }
             sharded.shutdown().expect("shutdown");
+        }
+    }
+}
+
+/// Dense ≡ weaved on every zoo family, not only `basic`: a
+/// `LoadedModel::build()` forward with `Execution::Weaved` is bitwise the
+/// `Execution::Dense` one at batch 1 and 8 and pool widths 1/2/4, so the
+/// residual, inception-branch and 5×5 convs the heavy workloads serve are
+/// covered, at the heavy (q = 1.0) and the lineup (q = 0.8) thresholds.
+#[test]
+fn weaved_forward_bit_identical_to_dense_for_every_family() {
+    for family in FAMILIES {
+        let dense_spec = ModelSpec {
+            family,
+            ..ModelSpec::default()
+        };
+        for q in [0.8, 1.0] {
+            let artifact = prune_to_artifact(dense_spec, q);
+            let build = |execution| {
+                let spec = ModelSpec {
+                    execution,
+                    ..dense_spec
+                };
+                LoadedModel::from_artifact_bytes("m", spec, 1, &artifact)
+                    .and_then(|m| m.build())
+                    .expect("load and build")
+            };
+            let (mut dense, mut weaved) = (build(Execution::Dense), build(Execution::Weaved));
+            for batch in [1usize, 8] {
+                let x = sample_input(dense_spec, 40 + batch as u64, batch);
+                let want = with_threads(1, || dense.forward(&x, false)).expect("dense forward");
+                for threads in [1usize, 2, 4] {
+                    let got = with_threads(threads, || weaved.forward(&x, false))
+                        .expect("weaved forward");
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(want.as_slice()),
+                        "{family:?} q {q} batch {batch} threads {threads}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// An empty batch is a valid input: every zoo family, under every
+/// execution, forwards `[0, c, h, w]` to `(0, classes)`.
+#[test]
+fn every_family_forwards_an_empty_batch() {
+    for family in FAMILIES {
+        let dense_spec = ModelSpec {
+            family,
+            ..ModelSpec::default()
+        };
+        let artifact = prune_to_artifact(dense_spec, 0.8);
+        for execution in [Execution::Dense, Execution::Weaved, Execution::WeavedInt8] {
+            let spec = ModelSpec {
+                execution,
+                ..dense_spec
+            };
+            let mut net = LoadedModel::from_artifact_bytes("m", spec, 1, &artifact)
+                .and_then(|m| m.build())
+                .expect("load and build");
+            let y = net
+                .forward(&sample_input(spec, 1, 0), false)
+                .unwrap_or_else(|e| panic!("{family:?} {execution}: {e}"));
+            assert_eq!(y.dims(), &[0, spec.classes], "{family:?} {execution}");
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Sparse-forward property suite (csp-sparse): the weaved f32 engine must
 //! be **bit-identical** to the dense blocked GEMM on the decompressed
-//! weights for every bit-identical kernel backend, every pool width, and
+//! weights in both orientations (`x · W` for `Linear`, `Wᵀ · cols` for
+//! `Conv2d`) for every bit-identical kernel backend, every pool width, and
 //! ragged shapes; the fused int8 engine must stay inside its documented
-//! error bound; and corrupted layouts must surface as typed errors at
+//! error bound, with its two orientations bitwise transposes of each
+//! other; and corrupted layouts must surface as typed errors at
 //! preparation — never as wrong answers.
 //!
 //! Shapes are deliberately ragged: `c_out` is not forced to a multiple of
@@ -57,25 +59,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Weaved f32 ≡ dense GEMM on the decompressed weights, bitwise, for
-    /// every bit-identical backend × pool widths 1/2/4/8.
+    /// every bit-identical backend × pool widths 1/2/4/8, in both
+    /// orientations: `gemm_xw(x)` ≡ `x · W` and, with `cols = xᵀ` as an
+    /// im2col-shaped `(M, P)` operand, `gemm_wt(cols)` ≡ `Wᵀ · cols`.
     #[test]
     fn weaved_f32_bit_identical_to_dense((weaved, dense, x) in weaved_instance()) {
         let prep = PreparedWeaved::new(&weaved).expect("prepare");
-        let want = with_backend(KernelBackend::Scalar, || {
-            bits(&matmul(&x, &dense).expect("dense matmul"))
+        let cols = x.transpose().expect("cols");
+        let (want_xw, want_wt) = with_backend(KernelBackend::Scalar, || {
+            let wt = dense.transpose().expect("Wᵀ");
+            (
+                bits(&matmul(&x, &dense).expect("dense matmul")),
+                bits(&matmul(&wt, &cols).expect("dense matmul")),
+            )
         });
         for backend in KernelBackend::supported_backends() {
             if !backend.bit_identical_to_scalar() {
                 continue;
             }
             for width in POOL_WIDTHS {
-                let got = with_threads(width, || {
-                    with_backend(backend, || bits(&prep.gemm_xw(&x).expect("weaved gemm")))
+                let (got_xw, got_wt) = with_threads(width, || {
+                    with_backend(backend, || {
+                        (
+                            bits(&prep.gemm_xw(&x).expect("weaved gemm_xw")),
+                            bits(&prep.gemm_wt(&cols).expect("weaved gemm_wt")),
+                        )
+                    })
                 });
                 prop_assert_eq!(
-                    &got,
-                    &want,
-                    "backend {} width {}",
+                    &got_xw,
+                    &want_xw,
+                    "gemm_xw backend {} width {}",
+                    backend.name(),
+                    width
+                );
+                prop_assert_eq!(
+                    &got_wt,
+                    &want_wt,
+                    "gemm_wt backend {} width {}",
                     backend.name(),
                     width
                 );
@@ -84,8 +105,9 @@ proptest! {
     }
 
     /// The fused int8 engine stays inside `error_bound` versus the f32
-    /// dense product, and is itself bitwise width-invariant (integer
-    /// accumulation is exact).
+    /// dense product, is itself bitwise width-invariant (integer
+    /// accumulation is exact), and its IpOS orientation is bitwise the
+    /// transpose of `x · W`: `gemm_wt(xᵀ)` ≡ `gemm_xw(x)ᵀ`.
     #[test]
     fn weaved_int8_within_documented_bound((weaved, dense, x) in weaved_instance()) {
         let prep = PreparedWeavedInt8::new(&weaved).expect("prepare int8");
@@ -98,9 +120,13 @@ proptest! {
                 "int8 {g} vs f32 {w} exceeds bound {bound}"
             );
         }
+        let cols = x.transpose().expect("cols");
+        let serial_t = bits(&serial.transpose().expect("transpose"));
         for width in POOL_WIDTHS {
             let got = with_threads(width, || prep.gemm_xw(&x).expect("int8 gemm"));
             prop_assert_eq!(bits(&got), bits(&serial), "int8 width {}", width);
+            let got = with_threads(width, || prep.gemm_wt(&cols).expect("int8 gemm_wt"));
+            prop_assert_eq!(bits(&got), serial_t.clone(), "int8 gemm_wt width {}", width);
         }
     }
 
