@@ -22,14 +22,17 @@
 //!   restarts have kept the pool alive and a chaos-free in-process
 //!   request still succeeds.
 //!
-//! Everything is seeded: the same `--seed` replays the exact same fault
-//! sites, retry delays, and outcomes. `--smoke` shrinks the sweep for CI
-//! and exits nonzero on any violated invariant; `--json` additionally
-//! writes `results/BENCH_resilience.json`.
+//! Everything is seeded. Wire faults are keyed by the `(token, id,
+//! attempt)` of the request a reply answers, so a wire-only cell replays
+//! its fault sites, retries and outcomes exactly from `--seed`; worker
+//! faults are keyed by batch ordinal, so cells with worker classes vary
+//! with batch formation. `--smoke` shrinks the sweep for CI and exits
+//! nonzero on any violated invariant; `--json` additionally writes
+//! `results/BENCH_resilience.json`.
 
 use csp_bench::cli::CommonCli;
 use csp_io::write_with_history;
-use csp_serve::testutil::{prune_to_artifact, sample_input};
+use csp_serve::testutil::{prune_to_artifact, request_sample};
 use csp_serve::{
     BatchPolicy, ChaosSession, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine,
     ShardedServer, StatsSnapshot,
@@ -138,9 +141,7 @@ fn reference_pool(
     let client = engine.client();
     let mut pool = Vec::new();
     for i in 0..8 {
-        let x = sample_input(spec, seed + i, 1);
-        let d = spec.input_dims();
-        let x = Tensor::from_vec(x.as_slice().to_vec(), &d).expect("same length");
+        let x = request_sample(spec, seed + i);
         let reply = client.infer(MODEL, &x, None)?;
         pool.push((x, reply.output));
     }
@@ -446,27 +447,6 @@ fn check_invariants(cells: &[Cell]) -> Vec<String> {
     bad
 }
 
-/// Suppress the stderr spam from chaos-injected worker panics (they are
-/// the point of the campaign); real panics still print.
-fn install_quiet_panic_hook() {
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains("chaos-injected"))
-            .or_else(|| {
-                info.payload()
-                    .downcast_ref::<String>()
-                    .map(|s| s.contains("chaos-injected"))
-            })
-            .unwrap_or(false);
-        if !injected {
-            default(info);
-        }
-    }));
-}
-
 fn run(cli: &CommonCli) -> CspResult<Vec<Cell>> {
     let smoke = cli.smoke;
     let seed = cli.seed_or(2022);
@@ -548,7 +528,7 @@ fn main() -> ExitCode {
         }
     };
 
-    install_quiet_panic_hook();
+    csp_runtime::silence_injected_panics();
     println!(
         "resilience_study: {} campaign, seed {}",
         if cli.smoke { "smoke" } else { "full" },

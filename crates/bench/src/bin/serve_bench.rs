@@ -43,7 +43,7 @@
 
 use csp_bench::cli::CommonCli;
 use csp_io::write_with_history;
-use csp_serve::testutil::{prune_to_artifact, sample_input};
+use csp_serve::testutil::{prune_to_artifact, request_sample};
 use csp_serve::{
     BatchPolicy, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine,
     ShardedServer, StatsSnapshot,
@@ -115,13 +115,7 @@ struct Cell {
 
 /// The request samples clients rotate through (`[c, h, w]` each).
 fn request_pool(spec: ModelSpec, seed: u64) -> Vec<Tensor> {
-    (0..8)
-        .map(|i| {
-            let x = sample_input(spec, seed + i, 1);
-            let d = spec.input_dims();
-            Tensor::from_vec(x.as_slice().to_vec(), &d).expect("same length")
-        })
-        .collect()
+    (0..8).map(|i| request_sample(spec, seed + i)).collect()
 }
 
 /// `shards` engine shards of `workers` workers each, serving the basic

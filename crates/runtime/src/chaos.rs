@@ -12,13 +12,13 @@
 //! ## Determinism under nondeterministic scheduling
 //!
 //! Chunks are claimed by whichever participant gets there first, so a
-//! shared sequential fault stream (as `csp-sim`'s `FaultSession` uses)
-//! would hand different faults to different chunks from run to run.
-//! Instead, every decision is a **pure function** of
-//! `(seed, dispatch_seq, chunk_index, class)` hashed through splitmix64:
-//! the same chunk of the same dispatch draws the same fault at every
-//! pool width and under any interleaving. Injected panics travel the
-//! *real* `catch_unwind` containment path — chaos forges no shortcuts.
+//! shared sequential fault stream would hand different faults to
+//! different chunks from run to run. Instead, every decision is
+//! [`fault_draw`] (the workspace's one seeded-fault draw), a **pure
+//! function** of `(seed, dispatch_seq, chunk_index, class)`: the same
+//! chunk of the same dispatch draws the same fault at every pool width
+//! and under any interleaving. Injected panics travel the *real*
+//! `catch_unwind` containment path — chaos forges no shortcuts.
 //!
 //! Sessions install into a thread-local scope ([`RuntimeChaosSession::run`])
 //! and apply only to top-level dispatches made by that thread; nested
@@ -61,11 +61,7 @@ impl RuntimeFaultClass {
 
     /// Stable position of this class in per-class tables.
     pub fn index(self) -> usize {
-        match self {
-            RuntimeFaultClass::ChunkPanic => 0,
-            RuntimeFaultClass::WorkerStall => 1,
-            RuntimeFaultClass::WorkerLoss => 2,
-        }
+        self as usize
     }
 
     /// Human-readable class name (also the telemetry label).
@@ -179,31 +175,36 @@ impl RuntimeChaosSession {
     /// Pure draw: does `class` fire for `(dispatch_seq, chunk)`?
     fn draws(&self, seq: u64, chunk: usize, class: RuntimeFaultClass) -> bool {
         let rate = self.rates[class.index()];
-        if rate <= 0.0 {
-            return false;
-        }
-        if rate >= 1.0 {
-            return true;
-        }
-        let mix = self
-            .seed
-            .wrapping_add(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((chunk as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-            .wrapping_add((class.index() as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let h = splitmix64(mix);
-        // 53 high bits -> uniform in [0, 1).
-        ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
+        fault_draw(self.seed, class.index(), [seq, chunk as u64, 0], rate).is_some()
     }
 }
 
-/// The standard splitmix64 finalizer (public-domain constants). A private
-/// copy of `csp_sim::fault::splitmix64` (same constants), because this
-/// crate cannot depend on csp-sim.
-fn splitmix64(mut x: u64) -> u64 {
+/// The standard SplitMix64 finalizer (public-domain constants), behind
+/// [`fault_draw`] and the serving tier's routing and backoff jitter.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The workspace's one seeded-fault draw: does `class` fire at `rate`
+/// for the event `key` (unused slots zero)? A pure function,
+/// `splitmix64(seed + Σ key[i]·Kᵢ + (class+1)·K_c)`, so every thread and
+/// order draws the same faults. `Some(h)` when it fires; follow-up values
+/// (bit, byte, cut point) come from `splitmix64(h)`.
+pub fn fault_draw(seed: u64, class: usize, key: [u64; 3], rate: f64) -> Option<u64> {
+    if rate <= 0.0 {
+        return None;
+    }
+    let h = splitmix64(
+        seed.wrapping_add(key[0].wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(key[1].wrapping_mul(0xD1B5_4A32_D192_ED03))
+            .wrapping_add(key[2].wrapping_mul(0x8CB9_2BA7_2F3D_8DD7))
+            .wrapping_add((class as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+    );
+    // 53 high bits -> uniform in [0, 1).
+    (rate >= 1.0 || ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate).then_some(h)
 }
 
 thread_local! {
@@ -331,18 +332,26 @@ pub fn silence_injected_panics() {
 mod tests {
     use super::*;
 
+    /// Draws are pure functions of their coordinates, pinned by a golden
+    /// vector captured before they moved into [`fault_draw`]: bit `j` of a
+    /// class's word is whether it fires at `(seq j / 16, chunk j % 16)`.
     #[test]
     fn draws_are_pure_functions_of_coordinates() {
-        let s = RuntimeChaosSession::new(42).with_rate(RuntimeFaultClass::ChunkPanic, 0.3);
-        let a: Vec<bool> = (0..256)
-            .map(|c| s.draws(3, c, RuntimeFaultClass::ChunkPanic))
-            .collect();
-        let b: Vec<bool> = (0..256)
-            .map(|c| s.draws(3, c, RuntimeFaultClass::ChunkPanic))
-            .collect();
-        assert_eq!(a, b, "same coordinates, same draw");
-        assert!(a.iter().any(|&x| x), "rate 0.3 over 256 chunks must fire");
-        assert!(!a.iter().all(|&x| x), "rate 0.3 must not always fire");
+        let s = RuntimeChaosSession::new(0x5EED)
+            .with_rate(RuntimeFaultClass::ChunkPanic, 0.3)
+            .with_rate(RuntimeFaultClass::WorkerStall, 0.5)
+            .with_rate(RuntimeFaultClass::WorkerLoss, 0.1);
+        let word = |class| {
+            (0..64).fold(0u64, |w, j| {
+                w | u64::from(s.draws(j / 16, j as usize % 16, class)) << j
+            })
+        };
+        let golden = [
+            0xb4c9_22a5_02e9_4011,
+            0x2ca9_1bc5_2d32_6231,
+            0x0210_0012_0240_0080,
+        ];
+        assert_eq!(RuntimeFaultClass::ALL.map(word), golden, "the draws moved");
     }
 
     #[test]

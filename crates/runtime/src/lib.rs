@@ -68,8 +68,9 @@
 //! [`RuntimeChaosSession`] injects seeded ChunkPanic / WorkerStall /
 //! WorkerLoss faults into dispatches made under
 //! [`RuntimeChaosSession::run`], deterministically per
-//! `(seed, dispatch, chunk)`; the `runtime_resilience` study gates on
-//! the containment invariants holding under storms.
+//! `(seed, dispatch, chunk)` through [`chaos::fault_draw`], the
+//! workspace's one seeded-fault draw; the `runtime_resilience` study
+//! gates on the containment invariants holding under storms.
 //!
 //! ## Example
 //!

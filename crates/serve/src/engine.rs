@@ -48,6 +48,7 @@ use crate::protocol::{HealthReport, HealthState};
 use crate::registry::ModelRegistry;
 use crate::stats::Stats;
 use csp_nn::Sequential;
+use csp_runtime::chaos::INJECTED_PANIC_MARK;
 use csp_runtime::{with_threads, Supervisor};
 use csp_sim::FaultClass;
 use csp_tensor::{CspError, CspResult, Tensor};
@@ -659,13 +660,14 @@ fn execute_batch(
     // late), a panicking worker dies inside the supervised region below.
     let mut inject_panic = false;
     if let Some(chaos) = &shared.chaos {
-        if chaos.fires(FaultClass::WorkerStall) {
+        let key = chaos.batch_key();
+        if chaos.fires(FaultClass::WorkerStall, key) {
             shared
                 .stats
                 .record_chaos(csp_telemetry::names::SERVE_CHAOS_STALLS);
             std::thread::sleep(chaos.stall());
         }
-        inject_panic = chaos.fires(FaultClass::WorkerPanic);
+        inject_panic = chaos.fires(FaultClass::WorkerPanic, key);
     }
 
     let dims = model.spec.input_dims();
@@ -680,7 +682,7 @@ fn execute_batch(
     // one of them can still be answered below.
     let outcome = catch_unwind(AssertUnwindSafe(|| -> CspResult<Tensor> {
         if inject_panic {
-            panic!("chaos-injected worker panic");
+            panic!("{INJECTED_PANIC_MARK} chaos-injected worker panic");
         }
         let net = match cache.get(&name) {
             Some((v, _)) if *v == model.version => &mut cache.get_mut(&name).expect("cached").1,
@@ -896,8 +898,7 @@ mod tests {
         registry
             .load_from_bytes("m", spec, &prune_to_artifact(spec, 0.8))
             .unwrap();
-        // Every batch panics until the plan's stream says otherwise: rate
-        // 1.0 means the first batch always dies.
+        // Rate 1.0: every batch panics, the first one included.
         let chaos = Arc::new(ChaosSession::new(
             FaultPlan::bernoulli(1.0, 3).with_classes(&[FaultClass::WorkerPanic]),
             Duration::ZERO,

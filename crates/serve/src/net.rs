@@ -36,7 +36,8 @@
 //! seeded wire faults: connection drop (reply never written), frame
 //! truncation (partial write, then close), and reply corruption (one bit
 //! flipped, which the v2 response CRC turns into a typed `Corrupt` on the
-//! client). Each fired fault ticks its `serve.chaos.*` counter.
+//! client), keyed by the request the reply answers (see [`crate::chaos`]).
+//! Each fired fault ticks its `serve.chaos.*` counter.
 
 use crate::chaos::ChaosSession;
 use crate::protocol::{
@@ -68,7 +69,8 @@ const READS_PER_PASS: usize = 8;
 
 /// One pending inference dispatched to the engine, awaiting its reply.
 struct Inflight {
-    id: u64,
+    /// The request's `(token, id, attempt)`: the reply's chaos key.
+    key: [u64; 3],
     pending: crate::engine::PendingReply,
 }
 
@@ -401,8 +403,9 @@ fn step_conn(
     while i < c.inflight.len() && !c.dead && !c.closing {
         match c.inflight[i].pending.try_take() {
             Some(result) => {
-                let id = c.inflight.remove(i).id;
-                enqueue_reply(c, client, Response { id, result }.encode_v2(), chaos);
+                let key = c.inflight.remove(i).key;
+                let reply = Response { id: key[1], result }.encode_v2();
+                enqueue_reply(c, client, key, reply, chaos);
                 progress = true;
             }
             None => i += 1,
@@ -473,17 +476,15 @@ fn dispatch(
     match AnyRequest::decode(&payload) {
         Ok(AnyRequest::InferV2(req)) => {
             let deadline = (req.deadline_us > 0).then(|| Duration::from_micros(req.deadline_us));
+            let key = [req.token, req.id, u64::from(req.attempt)];
             match client.submit_nowait(&req.model, &req.input, deadline, req.token, req.id) {
-                Ok(pending) => c.inflight.push(Inflight {
-                    id: req.id,
-                    pending,
-                }),
+                Ok(pending) => c.inflight.push(Inflight { key, pending }),
                 Err(e) => {
                     let resp = Response {
                         id: req.id,
                         result: Err(e),
                     };
-                    enqueue_reply(c, client, resp.encode_v2(), chaos);
+                    enqueue_reply(c, client, key, resp.encode_v2(), chaos);
                 }
             }
         }
@@ -492,14 +493,14 @@ fn dispatch(
                 id: req.id,
                 result: Ok(client.telemetry_snapshot()),
             };
-            enqueue_reply(c, client, resp.encode(), chaos);
+            enqueue_reply(c, client, [0, req.id, 0], resp.encode(), chaos);
         }
         Ok(AnyRequest::Health(req)) => {
             let resp = HealthResponse {
                 id: req.id,
                 result: Ok(client.health()),
             };
-            enqueue_reply(c, client, resp.encode(), chaos);
+            enqueue_reply(c, client, [0, req.id, 0], resp.encode(), chaos);
         }
         Err(e) => reject(c, client, shard, e, chaos),
     }
@@ -520,26 +521,28 @@ fn reject(
         id: 0,
         result: Err(err),
     };
-    enqueue_reply(c, client, resp.encode(), chaos);
+    enqueue_reply(c, client, [0; 3], resp.encode(), chaos);
     c.closing = true;
 }
 
 /// Frame `payload` into the connection's write buffer, applying seeded
-/// wire-level chaos: drop the connection, truncate the frame mid-write
-/// (then close), or flip a bit in the payload.
+/// wire-level chaos drawn at `key` (the answered request's chaos key):
+/// drop the connection, truncate the frame mid-write (then close), or
+/// flip a bit in the payload.
 fn enqueue_reply(
     c: &mut Conn,
     client: &ShardClient,
+    key: [u64; 3],
     mut payload: Vec<u8>,
     chaos: Option<&ChaosSession>,
 ) {
     if let Some(chaos) = chaos {
-        if chaos.fires(FaultClass::ConnDrop) {
+        if chaos.fires(FaultClass::ConnDrop, key) {
             client.record_chaos(names::SERVE_CHAOS_CONN_DROPS);
             c.dead = true;
             return;
         }
-        if let Some(cut) = chaos.truncate(FaultClass::FrameTruncate, payload.len() + 4) {
+        if let Some(cut) = chaos.truncate(FaultClass::FrameTruncate, key, payload.len() + 4) {
             client.record_chaos(names::SERVE_CHAOS_TRUNCATIONS);
             let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
             framed.extend_from_slice(&payload);
@@ -553,7 +556,7 @@ fn enqueue_reply(
             return;
         }
         if chaos
-            .strike(FaultClass::ReplyCorrupt, &mut payload)
+            .strike(FaultClass::ReplyCorrupt, key, &mut payload)
             .is_some()
         {
             client.record_chaos(names::SERVE_CHAOS_CORRUPTIONS);

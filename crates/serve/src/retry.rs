@@ -39,7 +39,7 @@ use crate::protocol::{
     read_frame, sock_err, write_frame, HealthReport, HealthRequest, HealthResponse, RequestV2,
     Response, TelemetryRequest, TelemetryResponse,
 };
-use csp_sim::fault::splitmix64;
+use csp_runtime::chaos::splitmix64;
 use csp_telemetry::Snapshot;
 use csp_tensor::{CspError, CspResult, Tensor};
 use std::net::{SocketAddr, TcpStream};
@@ -73,7 +73,7 @@ impl RetryPolicy {
     /// The delay before retry number `attempt` (0-based: `backoff(0)` is
     /// slept before the second send). Exponential with full determinism:
     /// `exp = min(cap, base · 2^attempt)`, jittered into `[exp/2, exp)`
-    /// by a splitmix64 stream over `(seed, attempt)`.
+    /// by a splitmix64 hash of `(seed, attempt)`.
     pub fn backoff(&self, attempt: u32) -> Duration {
         let base_us = (self.base.as_micros() as u64).max(1);
         let cap_us = (self.cap.as_micros() as u64).max(1);
@@ -203,16 +203,19 @@ impl ResilientClient {
     }
 
     /// One request/reply exchange that reconnects and resends once on a
-    /// transport error.
+    /// transport error, under a fresh id: the request is read-only, and
+    /// wire chaos keyed by the old id would strike the resend again.
     fn reconnect_once<T>(
         &mut self,
         encode: impl Fn(u64) -> Vec<u8>,
         decode: impl Fn(&[u8]) -> Decoded<T>,
     ) -> CspResult<T> {
         let id = self.fresh_id();
-        let request = encode(id);
-        match self.round_trip(id, &request, &decode) {
-            Err(e) if is_transport(&e) => self.round_trip(id, &request, &decode),
+        match self.round_trip(id, &encode(id), &decode) {
+            Err(e) if is_transport(&e) => {
+                let id = self.fresh_id();
+                self.round_trip(id, &encode(id), &decode)
+            }
             other => other,
         }
     }

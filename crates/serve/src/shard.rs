@@ -45,7 +45,7 @@ use crate::registry::{LoadedModel, ModelRegistry, ModelSpec};
 use crate::stats::StatsSnapshot;
 // The same finalizer the retry backoff uses; enough avalanche to spread
 // ring keys uniformly.
-use csp_sim::fault::splitmix64;
+use csp_runtime::chaos::splitmix64;
 use csp_telemetry::{names, Registry, Snapshot};
 use csp_tensor::{CspError, CspResult, Tensor};
 use std::path::Path;

@@ -2,10 +2,11 @@
 //! running the full training pipeline — used by this crate's tests, the
 //! serving benchmark, and the determinism property tests.
 
-use crate::registry::ModelSpec;
+use crate::registry::{ModelRegistry, ModelSpec};
 use csp_core::build_family_model;
 use csp_io::encode_weaved_model;
 use csp_pruning::{ChunkedLayout, CspPruner, Weaved};
+use csp_runtime::with_threads;
 use csp_tensor::Tensor;
 use rand::Rng;
 
@@ -41,6 +42,35 @@ pub fn sample_input(spec: ModelSpec, seed: u64, n: usize) -> Tensor {
         .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
         .collect();
     Tensor::from_vec(data, &[n, c, h, w]).expect("shape matches data")
+}
+
+/// One request sample shaped `[c, h, w]` (what a client submits).
+pub fn request_sample(spec: ModelSpec, seed: u64) -> Tensor {
+    let x = sample_input(spec, seed, 1);
+    Tensor::from_vec(x.as_slice().to_vec(), &spec.input_dims()).expect("same length")
+}
+
+/// Logits as bit patterns, for bit-identity comparisons.
+pub fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The serial reference for `samples`, as logit bit patterns: the network
+/// built straight from `artifact`, run one sample at a time under a
+/// one-thread kernel pool (what the engine pins its workers to).
+pub fn serial_reference(spec: ModelSpec, artifact: &[u8], samples: &[Tensor]) -> Vec<Vec<u32>> {
+    let reg = ModelRegistry::new();
+    let model = reg.load_from_bytes("ref", spec, artifact).expect("load");
+    let mut net = model.build().expect("build");
+    let [c, h, w] = spec.input_dims();
+    samples
+        .iter()
+        .map(|s| {
+            let x = Tensor::from_vec(s.as_slice().to_vec(), &[1, c, h, w]).expect("same length");
+            let y = with_threads(1, || net.forward(&x, false)).expect("forward");
+            bits(y.as_slice())
+        })
+        .collect()
 }
 
 /// Model `"m"` (the default spec) on two engine shards behind a two-IO-shard

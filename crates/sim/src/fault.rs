@@ -9,7 +9,8 @@
 //!   weight-GLB reads, DRAM weight transfers, and stuck-at PE multipliers;
 //! * a seedable campaign description ([`FaultPlan`]): Bernoulli
 //!   per-vulnerable-event sampling plus targeted single-site injections,
-//!   fully deterministic for a fixed seed;
+//!   fully deterministic for a fixed seed, each event drawn by
+//!   [`csp_runtime::chaos::fault_draw`] at `(class, event ordinal)`;
 //! * two protection schemes for the RegBins ([`Protection`]): parity
 //!   detection with flush-and-recompute retry (charged in cycles and
 //!   re-fetched bytes) and SECDED ECC (single-bit correction, charged per
@@ -21,6 +22,8 @@
 //! The functional arrays in `csp-accel` thread a [`FaultSession`] through
 //! their datapaths; with [`FaultPlan::none()`] no session is created and
 //! the fault-free path is bit-identical to the un-instrumented model.
+
+use csp_runtime::chaos::{fault_draw, splitmix64};
 
 /// Number of fault-site classes in the taxonomy.
 pub const N_FAULT_CLASSES: usize = 11;
@@ -108,21 +111,9 @@ impl FaultClass {
         FaultClass::ReplyCorrupt,
     ];
 
-    /// Stable index into per-class counter arrays.
+    /// Stable index into per-class counter arrays (declaration order).
     pub fn index(self) -> usize {
-        match self {
-            FaultClass::RegBin => 0,
-            FaultClass::IntermediateReg => 1,
-            FaultClass::WeightGlb => 2,
-            FaultClass::DramTransfer => 3,
-            FaultClass::StuckMac => 4,
-            FaultClass::ArtifactAtRest => 5,
-            FaultClass::ConnDrop => 6,
-            FaultClass::FrameTruncate => 7,
-            FaultClass::WorkerStall => 8,
-            FaultClass::WorkerPanic => 9,
-            FaultClass::ReplyCorrupt => 10,
-        }
+        self as usize
     }
 
     /// Short human-readable label.
@@ -372,16 +363,15 @@ impl FaultReport {
     }
 }
 
-/// Live state of one fault campaign: the seeded RNG stream, per-class
-/// event counters, injected-fault records and protection overheads.
+/// Live state of one fault campaign: per-class event counters,
+/// injected-fault records and protection overheads.
 ///
-/// Created by the accelerator models from a [`FaultPlan`]; all decisions
-/// are functions of the seed and the (deterministic) event stream, so the
+/// Created by the accelerator models from a [`FaultPlan`]; every decision
+/// is a pure function of `(seed, class, per-class event ordinal)`, so the
 /// same plan over the same workload reproduces the same faults.
 #[derive(Debug, Clone)]
 pub struct FaultSession {
     plan: FaultPlan,
-    rng: u64,
     events: [u64; N_FAULT_CLASSES],
     injected: [u64; N_FAULT_CLASSES],
     silent: u64,
@@ -399,10 +389,8 @@ impl FaultSession {
 
     /// Start a campaign.
     pub fn new(plan: FaultPlan) -> Self {
-        let rng = splitmix64(plan.seed ^ 0x9e37_79b9_7f4a_7c15);
         FaultSession {
             plan,
-            rng,
             events: [0; N_FAULT_CLASSES],
             injected: [0; N_FAULT_CLASSES],
             silent: 0,
@@ -427,15 +415,6 @@ impl FaultSession {
         self.plan.refetch_bytes_per_detection = bytes;
     }
 
-    fn next_u64(&mut self) -> u64 {
-        self.rng = splitmix64(self.rng);
-        self.rng
-    }
-
-    fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Count one vulnerable event of `class`; returns the bit to flip when
     /// a fault fires. Targeted faults fire at their exact event ordinal;
     /// the Bernoulli process covers enabled classes only.
@@ -451,10 +430,9 @@ impl FaultSession {
         {
             return Some(t.bit % bits);
         }
-        if self.plan.rate > 0.0 && self.plan.classes[i] && self.unit_f64() < self.plan.rate {
-            return Some((self.next_u64() % u64::from(bits)) as u32);
-        }
-        None
+        fault_draw(self.plan.seed, i, [ev, 0, 0], self.plan.rate)
+            .filter(|_| self.plan.classes[i])
+            .map(|h| (splitmix64(h) % u64::from(bits)) as u32)
     }
 
     fn record(&mut self, class: FaultClass, bit: u32, outcome: FaultOutcome) {
@@ -555,54 +533,6 @@ impl FaultSession {
         struck
     }
 
-    /// One binary vulnerable event of `class` (connection about to reply,
-    /// batch about to execute, …): returns `true` when a fault fires. The
-    /// firing is recorded as a silent injection — whatever mitigation the
-    /// serving tier applies (retry, supervision) happens above this layer.
-    pub fn event_fires(&mut self, class: FaultClass) -> bool {
-        match self.decide(class, 1) {
-            Some(bit) => {
-                self.record(class, bit, FaultOutcome::Silent);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// One vulnerable event of `class` over an encoded message: when a
-    /// fault fires, flips one seeded bit of one seeded byte of `bytes` and
-    /// returns the struck byte offset. Unlike [`corrupt_artifact`]
-    /// (per-byte events for storage bit rot), this charges a single event
-    /// per message — the wire either delivers the frame intact or it
-    /// doesn't.
-    ///
-    /// [`corrupt_artifact`]: FaultSession::corrupt_artifact
-    pub fn strike_message(&mut self, class: FaultClass, bytes: &mut [u8]) -> Option<usize> {
-        if bytes.is_empty() {
-            // Still one vulnerable event, but nothing to strike.
-            let _ = self.decide(class, 8);
-            return None;
-        }
-        let bit = self.decide(class, 8)?;
-        let pos = (self.next_u64() % bytes.len() as u64) as usize;
-        self.record(class, bit, FaultOutcome::Silent);
-        bytes[pos] ^= 1 << bit;
-        Some(pos)
-    }
-
-    /// One vulnerable event of `class` over a `len`-byte frame about to be
-    /// written: when a fault fires, returns the seeded cut point
-    /// (`1..len`) after which the write is abandoned. `None` means the
-    /// frame goes out whole (or is too short to truncate).
-    pub fn truncate_point(&mut self, class: FaultClass, len: usize) -> Option<usize> {
-        let bit = self.decide(class, 1)?;
-        if len < 2 {
-            return None;
-        }
-        self.record(class, bit, FaultOutcome::Silent);
-        Some(1 + (self.next_u64() % (len as u64 - 1)) as usize)
-    }
-
     /// Retry stall cycles accumulated so far (added to the run's cycle
     /// count by the arrays).
     pub fn retry_cycles(&self) -> u64 {
@@ -635,18 +565,6 @@ pub fn flip_fixed_point_bit(value: f32, bit: u32, lsb: f32) -> f32 {
     let q = (value / lsb).round().clamp(-128.0, 127.0) as i32 as i8 as u8;
     let flipped = q ^ (1 << (bit % 8));
     f32::from(flipped as i8) * lsb
-}
-
-/// The SplitMix64 mixing step — the seedable generator behind every fault
-/// decision here, exported so the serving tier's deterministic backoff
-/// jitter draws from the same arithmetic (one schedule per seed, no
-/// process-global RNG state).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 // --- SECDED codec ---------------------------------------------------------
@@ -935,62 +853,27 @@ mod tests {
         assert_eq!(union, FaultClass::ALL.to_vec());
     }
 
+    /// Draws are keyed by `(class, event ordinal)`: enabling RegBin faults
+    /// leaves the weight-GLB fault sites where they were.
     #[test]
-    fn serve_event_fires_deterministically() {
-        let run = |seed: u64| {
-            let mut s = FaultSession::new(FaultPlan::bernoulli(0.3, seed));
-            (0..200)
-                .map(|_| s.event_fires(FaultClass::ConnDrop))
-                .collect::<Vec<bool>>()
+    fn enabling_a_class_does_not_move_another_class_fault_sites() {
+        let run = |classes: &[FaultClass]| {
+            let mut s = FaultSession::new(FaultPlan::bernoulli(0.2, 31).with_classes(classes));
+            for i in 0..256 {
+                s.corrupt_f32(FaultClass::WeightGlb, i as f32);
+                s.regbin_access(i as f32 * 0.25);
+            }
+            let mut r = s.report();
+            r.records.retain(|rec| rec.class == FaultClass::WeightGlb);
+            r
         };
-        assert_eq!(run(7), run(7));
-        assert!(run(7).iter().any(|&b| b), "rate 0.3 over 200 events");
-        assert!(!run(7).iter().all(|&b| b), "rate 0.3 is not rate 1.0");
-        // Zero rate never fires and still counts events.
-        let mut s = FaultSession::new(FaultPlan::bernoulli(0.0, 7));
-        assert!((0..50).all(|_| !s.event_fires(FaultClass::WorkerPanic)));
-        assert_eq!(s.report().events[FaultClass::WorkerPanic.index()], 50);
-    }
-
-    #[test]
-    fn strike_message_flips_exactly_one_bit_per_firing() {
-        let plan = FaultPlan::bernoulli(1.0, 3).with_classes(&[FaultClass::ReplyCorrupt]);
-        let mut s = FaultSession::new(plan);
-        let original = vec![0u8; 64];
-        let mut bytes = original.clone();
-        let pos = s
-            .strike_message(FaultClass::ReplyCorrupt, &mut bytes)
-            .expect("rate 1.0 fires");
-        let diff: Vec<usize> = (0..bytes.len())
-            .filter(|&i| bytes[i] != original[i])
-            .collect();
-        assert_eq!(diff, vec![pos]);
-        assert_eq!(bytes[pos].count_ones(), 1, "exactly one flipped bit");
-        // Empty messages survive (one event, no strike).
-        assert!(s
-            .strike_message(FaultClass::ReplyCorrupt, &mut [])
-            .is_none());
-        assert_eq!(s.report().events[FaultClass::ReplyCorrupt.index()], 2);
-    }
-
-    #[test]
-    fn truncate_point_is_in_range_and_seeded() {
-        let run = |seed: u64| {
-            let plan = FaultPlan::bernoulli(0.5, seed).with_classes(&[FaultClass::FrameTruncate]);
-            let mut s = FaultSession::new(plan);
-            (0..100)
-                .map(|_| s.truncate_point(FaultClass::FrameTruncate, 40))
-                .collect::<Vec<Option<usize>>>()
-        };
-        let cuts = run(21);
-        assert_eq!(cuts, run(21));
-        assert!(cuts.iter().flatten().all(|&c| (1..40).contains(&c)));
-        assert!(cuts.iter().any(|c| c.is_some()));
-        assert!(cuts.iter().any(|c| c.is_none()));
-        // A 1-byte frame cannot be mid-truncated.
-        let plan = FaultPlan::bernoulli(1.0, 0).with_classes(&[FaultClass::FrameTruncate]);
-        let mut s = FaultSession::new(plan);
-        assert!(s.truncate_point(FaultClass::FrameTruncate, 1).is_none());
+        let alone = run(&[FaultClass::WeightGlb]);
+        let both = run(&[FaultClass::WeightGlb, FaultClass::RegBin]);
+        assert!(!alone.records.is_empty() && both.injected[FaultClass::RegBin.index()] > 0);
+        assert_eq!(
+            alone.records, both.records,
+            "RegBin draws moved the weight-GLB sites"
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use csp_core::ModelFamily;
 use csp_runtime::with_threads;
-use csp_serve::testutil::{prune_to_artifact, sample_input};
+use csp_serve::testutil::{
+    bits, prune_to_artifact, request_sample, sample_input, serial_reference,
+};
 use csp_serve::{
     BatchPolicy, Execution, LoadedModel, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy,
     ShardPolicy, ShardedEngine, ShardedServer,
@@ -29,35 +31,6 @@ const FAMILIES: [ModelFamily; 5] = [
     ModelFamily::ResNet,
     ModelFamily::Inception,
 ];
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// One sample shaped `[c, h, w]` (what a client submits).
-fn request_sample(spec: ModelSpec, seed: u64) -> Tensor {
-    let x = sample_input(spec, seed, 1);
-    let d = spec.input_dims();
-    Tensor::from_vec(x.as_slice().to_vec(), &d).expect("same length")
-}
-
-/// Serial reference: build the network from the artifact and run each
-/// sample alone under a one-thread kernel pool.
-fn serial_reference(spec: ModelSpec, artifact: &[u8], samples: &[Tensor]) -> Vec<Vec<u32>> {
-    let reg = ModelRegistry::new();
-    let model = reg.load_from_bytes("ref", spec, artifact).expect("load");
-    let mut net = model.build().expect("build");
-    samples
-        .iter()
-        .map(|s| {
-            let d = spec.input_dims();
-            let x = Tensor::from_vec(s.as_slice().to_vec(), &[1, d[0], d[1], d[2]])
-                .expect("same length");
-            let y = with_threads(1, || net.forward(&x, false)).expect("forward");
-            bits(y.as_slice())
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

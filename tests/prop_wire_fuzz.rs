@@ -15,11 +15,10 @@
 use csp_serve::protocol::{
     AnyRequest, HealthResponse, RequestV2, Response, TelemetryResponse, MAX_FRAME,
 };
-use csp_serve::testutil::{prune_to_artifact, sample_input};
+use csp_serve::testutil::{prune_to_artifact, request_sample};
 use csp_serve::{
     BatchPolicy, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine, ShardedServer,
 };
-use csp_tensor::Tensor;
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -28,12 +27,6 @@ use std::time::Duration;
 
 /// If the server neither replies nor closes within this long, it hangs.
 const HANG_GUARD: Duration = Duration::from_secs(10);
-
-fn request_sample(spec: ModelSpec, seed: u64) -> Tensor {
-    let x = sample_input(spec, seed, 1);
-    let d = spec.input_dims();
-    Tensor::from_vec(x.as_slice().to_vec(), &d).expect("same length")
-}
 
 /// A valid inference frame payload.
 fn valid_v2(spec: ModelSpec, id: u64) -> Vec<u8> {

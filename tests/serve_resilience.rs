@@ -1,6 +1,6 @@
 //! Resilience property suite for the serving tier.
 //!
-//! Four contracts:
+//! Five contracts:
 //!
 //! * **deadline round-trip** — a request's remaining-budget deadline
 //!   survives the wire protocol exactly;
@@ -11,12 +11,18 @@
 //!   engine's reply cache: one execution, bit-identical replies;
 //! * **the engine survives worker panics** — at every pool size, every
 //!   request gets a typed outcome and supervised restarts keep the pool
-//!   serving.
+//!   serving;
+//! * **wire-fault campaigns replay** — same seed, same injections,
+//!   retries and reconnects, however concurrent clients interleave.
 
 use csp_serve::protocol::{AnyRequest, RequestV2};
-use csp_serve::testutil::{prune_to_artifact, sample_input};
-use csp_serve::{ChaosSession, HealthState, ModelSpec, RetryPolicy, ShardPolicy, ShardedEngine};
-use csp_sim::{FaultClass, FaultPlan};
+use csp_serve::testutil::{prune_to_artifact, request_sample};
+use csp_serve::{
+    ChaosSession, HealthState, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine,
+    ShardedServer,
+};
+use csp_sim::FaultClass::{self, ConnDrop, FrameTruncate, ReplyCorrupt};
+use csp_sim::FaultPlan;
 use csp_tensor::{CspError, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,12 +37,6 @@ fn one_shard(workers: usize) -> ShardPolicy {
         workers,
         ..ShardPolicy::default()
     }
-}
-
-fn request_sample(spec: ModelSpec, seed: u64) -> Tensor {
-    let x = sample_input(spec, seed, 1);
-    let d = spec.input_dims();
-    Tensor::from_vec(x.as_slice().to_vec(), &d).expect("same length")
 }
 
 proptest! {
@@ -142,17 +142,7 @@ fn engine_survives_worker_panics_at_every_pool_size() {
     let x = request_sample(spec, 11);
 
     // Chaos-injected panics are the point; keep stderr quiet for them.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains("chaos-injected"))
-            .unwrap_or(false);
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    csp_runtime::silence_injected_panics();
 
     for workers in POOL_SIZES {
         let chaos = Arc::new(ChaosSession::new(
@@ -198,4 +188,56 @@ fn engine_survives_worker_panics_at_every_pool_size() {
         assert_ne!(health.state, HealthState::Draining);
         engine.shutdown().expect("shutdown");
     }
+}
+
+/// Wire faults are keyed by the request a reply answers, so drops,
+/// truncations and corruptions at rate 0.3 against three concurrent clients
+/// (`ShardPolicy::default()`, two IO shards) replay from the seed. `events`
+/// is not compared: the engine's batch count depends on timing.
+#[test]
+fn wire_fault_campaign_replays_from_its_seed() {
+    let wire = [ConnDrop, FrameTruncate, ReplyCorrupt];
+    let spec = ModelSpec::default();
+    let campaign = |seed: u64| {
+        let plan = FaultPlan::bernoulli(0.3, seed).with_classes(&wire);
+        let chaos = Arc::new(ChaosSession::new(plan, Duration::ZERO));
+        let engine =
+            ShardedEngine::start_with_chaos(ShardPolicy::default(), Some(chaos.clone())).unwrap();
+        engine
+            .deploy("m", spec, &prune_to_artifact(spec, 0.8))
+            .unwrap();
+        let server =
+            ShardedServer::serve_with_chaos(engine.client(), "127.0.0.1:0", 2, Some(chaos.clone()))
+                .unwrap();
+        let addr = server.addr();
+        let clients: Vec<_> = (0..3u64)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let policy = RetryPolicy {
+                        max_attempts: 8,
+                        base: Duration::from_micros(100),
+                        cap: Duration::from_millis(2),
+                        seed: seed ^ (c + 1),
+                    };
+                    let mut client = ResilientClient::connect(&addr, policy).unwrap();
+                    for i in 0..16 {
+                        let r = client.infer("m", &request_sample(spec, c * 100 + i), None);
+                        assert!(matches!(r, Ok(_) | Err(CspError::Expired { .. })), "{r:?}");
+                    }
+                    (client.retries(), client.reconnects())
+                })
+            })
+            .collect();
+        let per_client: Vec<_> = clients.into_iter().map(|t| t.join().unwrap()).collect();
+        server.shutdown(Duration::from_secs(5)).unwrap();
+        engine.shutdown().unwrap();
+        let injected = chaos.report().injected;
+        (wire.map(|c| injected[c.index()]), per_client)
+    };
+    let first = campaign(0xC5A0);
+    assert!(
+        first.0.iter().all(|&n| n > 0),
+        "every wire class fires: {first:?}"
+    );
+    assert_eq!(first, campaign(0xC5A0), "same seed, same campaign");
 }

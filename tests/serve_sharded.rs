@@ -13,43 +13,12 @@
 //!    (admitted == completed + failed + expired).
 
 use csp_io::atomic::write_with_history;
-use csp_runtime::with_threads;
-use csp_serve::testutil::{prune_to_artifact, sample_input};
+use csp_serve::testutil::{bits, prune_to_artifact, request_sample, serial_reference};
 use csp_serve::{
-    BatchPolicy, ModelRegistry, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy,
-    ShardedEngine, ShardedServer,
+    BatchPolicy, ModelSpec, ResilientClient, RetryPolicy, ShardPolicy, ShardedEngine, ShardedServer,
 };
 use csp_tensor::Tensor;
 use std::time::Duration;
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// One sample shaped `[c, h, w]` (what a client submits).
-fn request_sample(spec: ModelSpec, seed: u64) -> Tensor {
-    let x = sample_input(spec, seed, 1);
-    let d = spec.input_dims();
-    Tensor::from_vec(x.as_slice().to_vec(), &d).expect("same length")
-}
-
-/// Serial reference: the network built straight from the artifact, one
-/// sample at a time under a single-thread kernel pool.
-fn serial_reference(spec: ModelSpec, artifact: &[u8], samples: &[Tensor]) -> Vec<Vec<u32>> {
-    let reg = ModelRegistry::new();
-    let model = reg.load_from_bytes("ref", spec, artifact).expect("load");
-    let mut net = model.build().expect("build");
-    samples
-        .iter()
-        .map(|s| {
-            let d = spec.input_dims();
-            let x = Tensor::from_vec(s.as_slice().to_vec(), &[1, d[0], d[1], d[2]])
-                .expect("same length");
-            let y = with_threads(1, || net.forward(&x, false)).expect("forward");
-            bits(y.as_slice())
-        })
-        .collect()
-}
 
 fn policy(shards: usize, workers: usize) -> ShardPolicy {
     ShardPolicy {
